@@ -60,8 +60,8 @@ use std::sync::Mutex;
 /// Record density of a table: stored records per curve cell — the
 /// `density` input of [`Planner::plan_ranges`]'s cost model (how many
 /// entries a scanned key span is expected to yield). May exceed 1 when
-/// cells hold duplicate records. The single definition shared by
-/// `SfcTable::density` and `ShardedTable::density`.
+/// cells hold duplicate records. The single definition behind
+/// `ShardedTable::density` and `TableSnapshot::density`.
 pub fn record_density(records: usize, cells: u64) -> f64 {
     if cells == 0 {
         0.0

@@ -23,11 +23,12 @@ use crate::partition::{partition_universe, Partition};
 use crate::plan::{Planner, QueryPlan};
 use crate::store::PageStore;
 use crate::stored::{FileBackend, StoreConfig, StoreFactory};
-use crate::table::{keyed_records, QueryOptions, QueryResult, RangeMode, Record, ValueGuard};
+use crate::table::{keyed_records, QueryOptions, QueryResult, Record, ValueGuard};
 use crate::wal::WalCodec;
 use onion_core::{Point, SfcError, SpaceFillingCurve};
-use sfc_clustering::{coalesce_ranges, coalesce_to_budget, RectQuery, ScratchPool};
+use sfc_clustering::{RectQuery, ScratchPool};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -143,12 +144,17 @@ fn cow_shard<V, B: Backend<V>>(slot: &mut Arc<B>) -> &mut B {
     Arc::get_mut(slot).expect("slot was just made unique")
 }
 
-/// A spatial table split into contiguous curve-range shards that are
-/// scanned concurrently, with MVCC epoch versions.
+/// A spatial table whose rows are ordered by a space-filling curve, split
+/// into contiguous curve-range shards that are scanned concurrently, with
+/// MVCC epoch versions.
 ///
-/// Shards are ordered by curve range, so concatenating per-shard results in
-/// shard order preserves global curve-key order — a sharded query returns
-/// exactly what the equivalent [`SfcTable`](crate::SfcTable) returns.
+/// Records are keyed by their cell's curve index; a rectangle query is
+/// decomposed into the curve's cluster ranges, so **seeks per query = the
+/// paper's clustering number** (plus one per shard boundary a range
+/// crosses). A one-table layout is `ShardedTable::build(.., 1)`. Shards are
+/// ordered by curve range, so concatenating per-shard results in shard
+/// order preserves global curve-key order: the shard count changes the
+/// execution, never the rows.
 ///
 /// Shard state lives in an immutable, epoch-stamped [`TableVersion`]
 /// behind an atomic pointer: every read path **pins** the current version
@@ -214,8 +220,8 @@ where
         model: DiskModel,
         shard_count: usize,
     ) -> Result<Self, SfcError> {
-        Self::build_with(curve, records, model, shard_count, |chunk, _| {
-            MemoryBackend::bulk_load(chunk)
+        Self::build_with(curve, records, model, shard_count, |_, chunk, _| {
+            Ok(MemoryBackend::bulk_load(chunk))
         })
     }
 }
@@ -226,8 +232,9 @@ where
     V: Clone,
 {
     /// Builds a sharded table whose shards each front their pages with an
-    /// LRU buffer pool of `pool_pages` pages (see
-    /// [`SfcTable::build_paged`](crate::SfcTable::build_paged)).
+    /// LRU buffer pool of `pool_pages` pages: repeated queries over warm
+    /// regions stop paying transfer costs, and per-query [`IoStats`]
+    /// report the hit/miss split.
     ///
     /// # Errors
     /// If any point lies outside the curve's universe.
@@ -241,8 +248,8 @@ where
         shard_count: usize,
         pool_pages: usize,
     ) -> Result<Self, SfcError> {
-        Self::build_with(curve, records, model, shard_count, |chunk, model| {
-            PagedBackend::bulk_load(chunk, model, pool_pages)
+        Self::build_with(curve, records, model, shard_count, |_, chunk, model| {
+            Ok(PagedBackend::bulk_load(chunk, model, pool_pages))
         })
     }
 }
@@ -255,8 +262,11 @@ where
 {
     /// Builds a sharded table whose shards are genuinely disk-resident:
     /// each shard's records are bulk-built into an immutable segment file
-    /// `dir/shard<i>.g<N>.seg` (see
-    /// [`SfcTable::build_stored`](crate::SfcTable::build_stored)).
+    /// `dir/shard<i>.g<N>.seg` (fronted by an LRU page cache of
+    /// `cfg.pool_pages` pages), and later writes land in an in-memory
+    /// overlay until the shard is compacted. Query [`IoStats`] report the
+    /// *measured* `real_reads` / `real_seeks` next to the simulated
+    /// counters.
     ///
     /// # Errors
     /// If any point lies outside the curve's universe, or segment I/O
@@ -272,7 +282,7 @@ where
         dir: &Path,
         cfg: StoreConfig,
     ) -> Result<Self, SfcError> {
-        Self::try_build_with(curve, records, model, shard_count, |idx, chunk, _| {
+        Self::build_with(curve, records, model, shard_count, |idx, chunk, _| {
             FileBackend::create(dir, &format!("shard{idx}"), cfg, chunk)
         })
     }
@@ -303,7 +313,7 @@ where
         cfg: StoreConfig,
         factory: StoreFactory<S>,
     ) -> Result<Self, SfcError> {
-        Self::try_build_with(curve, records, model, shard_count, |idx, chunk, _| {
+        Self::build_with(curve, records, model, shard_count, |idx, chunk, _| {
             FileBackend::create_with(dir, &format!("shard{idx}"), cfg, factory.clone(), chunk)
         })
     }
@@ -317,23 +327,10 @@ where
 {
     /// Generic build: keys and sorts the records once, cuts them at the
     /// partition boundaries of [`partition_universe`], and bulk-loads each
-    /// shard's chunk through `make_backend`.
+    /// shard's chunk through `make_backend`, which also receives the shard
+    /// index (so disk-resident shards can claim distinct files) and may
+    /// fail (their construction performs real I/O).
     fn build_with(
-        curve: C,
-        records: Vec<(Point<D>, V)>,
-        model: DiskModel,
-        shard_count: usize,
-        make_backend: impl Fn(Vec<(u64, Record<D, V>)>, DiskModel) -> B,
-    ) -> Result<Self, SfcError> {
-        Self::try_build_with(curve, records, model, shard_count, |_, chunk, model| {
-            Ok(make_backend(chunk, model))
-        })
-    }
-
-    /// The fallible twin of `build_with`, for backends whose construction
-    /// performs real I/O; `make_backend` also receives the shard index so
-    /// disk-resident shards can claim distinct files.
-    fn try_build_with(
         curve: C,
         records: Vec<(Point<D>, V)>,
         model: DiskModel,
@@ -398,14 +395,20 @@ where
         };
         let mut retained = self.retained.lock().expect("retention window poisoned");
         retained.push_back(prev);
-        while retained.len() > self.retention.epochs {
+        Self::evict(&mut retained, self.retention);
+    }
+
+    /// Drops the oldest retained versions until the window fits `policy`'s
+    /// epoch and byte bounds.
+    fn evict(retained: &mut VecDeque<Arc<TableVersion<B>>>, policy: RetentionPolicy) {
+        while retained.len() > policy.epochs {
             retained.pop_front();
         }
         // Conservative per-entry footprint: versions share unwritten
         // pages, so the true marginal cost is usually far lower.
         let entry_bytes = (std::mem::size_of::<Record<D, V>>() + std::mem::size_of::<u64>()) as u64;
         let mut estimated: u64 = retained.iter().map(|v| v.records * entry_bytes).sum();
-        while estimated > self.retention.bytes {
+        while estimated > policy.bytes {
             match retained.pop_front() {
                 Some(v) => estimated -= v.records * entry_bytes,
                 None => break,
@@ -450,18 +453,10 @@ where
     /// to the retained window.
     pub fn set_retention(&mut self, policy: RetentionPolicy) {
         self.retention = policy;
-        let retained = self.retained.get_mut().expect("retention window poisoned");
-        while retained.len() > policy.epochs {
-            retained.pop_front();
-        }
-        let entry_bytes = (std::mem::size_of::<Record<D, V>>() + std::mem::size_of::<u64>()) as u64;
-        let mut estimated: u64 = retained.iter().map(|v| v.records * entry_bytes).sum();
-        while estimated > policy.bytes {
-            match retained.pop_front() {
-                Some(v) => estimated -= v.records * entry_bytes,
-                None => break,
-            }
-        }
+        Self::evict(
+            self.retained.get_mut().expect("retention window poisoned"),
+            policy,
+        );
     }
 
     /// The epoch of the current version: the number of batches applied
@@ -588,36 +583,23 @@ where
         pos
     }
 
-    /// Inserts a record into the shard owning its curve key.
+    /// Inserts a record into the shard owning its curve key (duplicates
+    /// allowed).
     ///
     /// # Errors
     /// If the point lies outside the curve's universe.
     pub fn insert(&mut self, point: Point<D>, value: V) -> Result<(), SfcError> {
-        let key = self.curve.index_of(point)?;
-        let shard = self.shard_of_key(key);
-        let ver = self.current_mut();
-        cow_shard(&mut ver.shards[shard]).insert(key, Record { point, value });
-        ver.records += 1;
-        self.add_records(1);
-        Ok(())
+        self.write_in_place(BatchOp::Insert(point, value))
+            .map(|_| ())
     }
 
-    /// Removes the record at `point`, returning its payload.
+    /// Removes the record at `point`, returning its payload (or `None` if
+    /// the cell is vacant).
     ///
     /// # Errors
     /// If the point lies outside the curve's universe.
     pub fn delete(&mut self, point: Point<D>) -> Result<Option<V>, SfcError> {
-        let key = self.curve.index_of(point)?;
-        let shard = self.shard_of_key(key);
-        let ver = self.current_mut();
-        let removed = cow_shard(&mut ver.shards[shard])
-            .remove(key)
-            .map(|rec| rec.value);
-        if removed.is_some() {
-            ver.records -= 1;
-            self.add_records(-1);
-        }
-        Ok(removed)
+        self.write_in_place(BatchOp::Delete(point))
     }
 
     /// Replaces the payload at `point` in place, returning the previous
@@ -626,36 +608,32 @@ where
     /// # Errors
     /// If the point lies outside the curve's universe.
     pub fn update(&mut self, point: Point<D>, value: V) -> Result<Option<V>, SfcError> {
-        let key = self.curve.index_of(point)?;
-        let shard = self.shard_of_key(key);
-        let ver = self.current_mut();
-        let backend = cow_shard(&mut ver.shards[shard]);
-        if let Some(rec) = backend.get_mut(key) {
-            Ok(Some(std::mem::replace(&mut rec.value, value)))
-        } else {
-            backend.insert(key, Record { point, value });
-            ver.records += 1;
-            self.add_records(1);
-            Ok(None)
-        }
+        self.write_in_place(BatchOp::Update(point, value))
     }
 
-    /// Adjusts the lock-free record counter by `delta`.
-    fn add_records(&self, delta: i64) {
-        use std::sync::atomic::Ordering;
-        if delta >= 0 {
-            self.records.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            self.records
-                .fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
-        }
+    /// The single-record writers' kernel: applies `op` to the current
+    /// version in place (no new epoch, no version install) through the
+    /// same [`apply_one`] every batch apply uses.
+    fn write_in_place(&mut self, op: BatchOp<D, V>) -> Result<Option<V>, SfcError> {
+        let key = self.curve.index_of(op.point())?;
+        let shard = self.shard_of_key(key);
+        let mut delta = 0i64;
+        let ver = self.current_mut();
+        let displaced = apply_one(cow_shard(&mut ver.shards[shard]), key, op, &mut delta);
+        ver.records = ver
+            .records
+            .checked_add_signed(delta)
+            .expect("record count underflow");
+        let records = ver.records;
+        *self.records.get_mut() = records;
+        Ok(displaced)
     }
 
     /// Validates and keys a batch (one [`SpaceFillingCurve::fill_indices`]
     /// call) and stable-sorts it into curve order, returning the per-op
-    /// keys and the sorted submission-index permutation — the shared
-    /// front half of every batch-apply path. Stable sort: ops on the
-    /// same key keep their submission order.
+    /// keys and the sorted submission-index permutation — the front half
+    /// of [`Self::apply_batch`] and [`Self::query_rect_replayed`]. Stable
+    /// sort: ops on the same key keep their submission order.
     fn key_batch(&self, ops: &[BatchOp<D, V>]) -> Result<(Vec<u64>, Vec<usize>), SfcError> {
         let universe = self.curve.universe();
         let points: Vec<Point<D>> = ops.iter().map(BatchOp::point).collect();
@@ -672,76 +650,6 @@ where
         let mut order: Vec<usize> = (0..ops.len()).collect();
         order.sort_by_key(|&i| keys[i]);
         Ok((keys, order))
-    }
-
-    /// Applies a batch of writes through `&self` on the single-threaded
-    /// reference path: validates and keys every point with one
-    /// [`SpaceFillingCurve::fill_indices`] call, stably sorts the batch
-    /// into curve order, forks each touched shard copy-on-write, applies
-    /// that shard's contiguous run to the fork — in place via the sorted
-    /// index permutation, with no per-shard staging — and installs the
-    /// whole set as the next epoch version with one pointer swap.
-    ///
-    /// [`Self::apply_batch`] produces byte-identical state and identical
-    /// results while applying the per-shard runs concurrently; this
-    /// serial form is the semantic reference the equivalence proptests
-    /// and the `engine/apply_parallel` bench compare against, and the
-    /// path `apply_batch` itself takes for small batches.
-    ///
-    /// An empty batch installs nothing and bumps no epoch.
-    ///
-    /// # Errors
-    /// If any point lies outside the curve's universe (checked before
-    /// anything is applied).
-    pub fn apply_batch_serial(&self, ops: Vec<BatchOp<D, V>>) -> Result<Vec<Option<V>>, SfcError> {
-        let (keys, order) = self.key_batch(&ops)?;
-        let mut slots: Vec<Option<BatchOp<D, V>>> = ops.into_iter().map(Some).collect();
-        let mut results: Vec<Option<V>> = Vec::new();
-        results.resize_with(slots.len(), || None);
-        if order.is_empty() {
-            return Ok(results);
-        }
-        let _gate = self.write_gate.lock().expect("write gate poisoned");
-        let base = self.pin();
-        let mut shards = base.shards.clone();
-        let mut at = 0usize;
-        let mut delta = 0i64;
-        while at < order.len() {
-            let shard = self.shard_of_key(keys[order[at]]);
-            let end = at
-                + order[at..]
-                    .iter()
-                    .take_while(|&&i| keys[i] <= self.parts[shard].hi)
-                    .count();
-            // Fork the touched shard (readers keep scanning `base`'s copy
-            // untouched); untouched shards stay shared `Arc`s.
-            let backend = cow_shard(&mut shards[shard]);
-            for pos in at..end {
-                // The permutation visits `slots` in curve order, not
-                // submission order — a data-dependent stride the hardware
-                // prefetcher cannot follow. Hint a few ops ahead so each
-                // slot's line arrives while earlier ops apply.
-                if let Some(&ahead) = order.get(pos + APPLY_PREFETCH_DISTANCE) {
-                    crate::prefetch::prefetch_read(&slots[ahead]);
-                }
-                let i = order[pos];
-                let op = slots[i].take().expect("each op applied once");
-                results[i] = apply_one(backend, keys[i], op, &mut delta);
-            }
-            at = end;
-        }
-        let records = base
-            .records
-            .checked_add_signed(delta)
-            .expect("record count underflow");
-        self.install(Arc::new(TableVersion {
-            epoch: base.epoch + 1,
-            shards,
-            records,
-        }));
-        self.records
-            .store(records, std::sync::atomic::Ordering::Relaxed);
-        Ok(results)
     }
 
     /// Streams shard `shard`'s entries in ascending key order through the
@@ -878,20 +786,7 @@ where
     /// # Errors
     /// If the point lies outside the curve's universe.
     pub fn get(&self, p: Point<D>) -> Result<Option<ValueGuard<D, V>>, SfcError> {
-        let key = self.curve.index_of(p)?;
-        let shard = self.shard_of_key(key);
-        Ok(self.pin().shards[shard]
-            .get_pinned(key)?
-            .map(ValueGuard::new))
-    }
-
-    /// Point lookup returning an owned copy of the payload.
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    #[deprecated(since = "0.8.0", note = "use `get(p)?.map(|g| g.cloned())` instead")]
-    pub fn get_cloned(&self, p: Point<D>) -> Result<Option<V>, SfcError> {
-        Ok(self.get(p)?.map(|guard| guard.cloned()))
+        self.snapshot().get(p)
     }
 
     /// Splits the cluster ranges of `q` at shard boundaries. Returns the
@@ -942,16 +837,16 @@ where
 /// survive until use.
 const APPLY_PREFETCH_DISTANCE: usize = 8;
 
-/// Batches below this many ops always take the serial apply path: their
-/// per-shard slices are too small to amortize thread spawns (an epoch of
+/// Batches below this many ops always apply their runs inline: their
+/// per-shard runs are too small to amortize thread spawns (an epoch of
 /// a few hundred ops applies in tens of microseconds — comparable to
 /// starting one thread). Recovery replay and bulk loads run far above it.
 const PARALLEL_APPLY_MIN_OPS: usize = 1024;
 
 /// Whether this host can actually run shard workers concurrently. On a
-/// single-core machine the parallel apply is pure spawn overhead (the
-/// workers serialize anyway), so `apply_batch` stays on the serial path
-/// there — behavior is identical either way, only the schedule differs.
+/// single-core machine threaded runs are pure spawn overhead (the
+/// workers serialize anyway), so `apply_batch` applies inline there —
+/// behavior is identical either way, only the schedule differs.
 fn host_has_parallelism() -> bool {
     use std::sync::OnceLock;
     static CORES: OnceLock<usize> = OnceLock::new();
@@ -970,26 +865,24 @@ where
 {
     /// Applies a batch of writes through `&self`: validates and keys every
     /// point with one [`SpaceFillingCurve::fill_indices`] call, stably
-    /// sorts the batch into curve order, and applies each shard's
-    /// contiguous slice under that shard's write lock — so the B+-trees
-    /// see sorted bulk mutations instead of random single inserts, and
-    /// readers of untouched shards are never blocked.
+    /// sorts the batch into curve order and cuts it into per-shard runs,
+    /// forks each touched shard copy-on-write, applies each run to its
+    /// shard's fork — so the B+-trees see sorted bulk mutations instead of
+    /// random single inserts — and installs the whole set as the next
+    /// epoch version with one pointer swap.
     ///
-    /// Large batches (1024+ ops touching more than one shard, on hosts
-    /// with more than one core) apply their per-shard slices
-    /// **concurrently** via [`Self::apply_batch_parallel`]: the slices
-    /// are disjoint by construction and each worker owns its shard's
-    /// private fork, so the parallel apply is observationally identical
-    /// to [`Self::apply_batch_serial`] — same displaced payloads, same
-    /// final state, same all-shards-at-once version install — with the
-    /// epoch's critical path shrunk to the slowest shard. Smaller
-    /// batches (and single-core hosts) stay on the serial path (the
-    /// equivalence proptests pin both).
+    /// Runs apply inline, or **concurrently** on [`std::thread::scope`]
+    /// workers when the batch has 1024+ ops, touches more than one shard
+    /// and the host has more than one core. The runs are disjoint by
+    /// construction and each worker owns its shard's private fork, so the
+    /// schedule is unobservable: same displaced payloads, same final
+    /// state, same all-shards-at-once install — the threaded schedule
+    /// only shrinks the epoch's critical path to the slowest shard.
     ///
     /// Returns the displaced payloads in **submission order** (`None` for
     /// inserts and for deletes/updates of vacant cells). Ops on the same
     /// point apply in submission order; no write is applied if any point
-    /// is invalid.
+    /// is invalid. An empty batch installs nothing and bumps no epoch.
     ///
     /// This is the write entry point the epoch-batching serving layer
     /// (`sfc-engine`) drives — both for live epochs and for recovery
@@ -1004,34 +897,13 @@ where
     /// anything is applied).
     pub fn apply_batch(&self, ops: Vec<BatchOp<D, V>>) -> Result<Vec<Option<V>>, SfcError> {
         let total = ops.len();
-        if total < PARALLEL_APPLY_MIN_OPS || !host_has_parallelism() {
-            return self.apply_batch_serial(ops);
-        }
-        self.apply_batch_parallel(ops)
-    }
-
-    /// The always-threaded form of [`Self::apply_batch`]: per-shard
-    /// slices apply concurrently under [`std::thread::scope`] regardless
-    /// of batch size or host core count (a batch confined to one shard
-    /// still applies inline — threads would buy nothing). Observationally
-    /// identical to [`Self::apply_batch_serial`]; the equivalence
-    /// proptests drive this form directly so the threaded path is pinned
-    /// even where `apply_batch`'s heuristics would choose the serial one.
-    ///
-    /// # Errors
-    /// If any point lies outside the curve's universe (checked before
-    /// anything is applied).
-    pub fn apply_batch_parallel(
-        &self,
-        ops: Vec<BatchOp<D, V>>,
-    ) -> Result<Vec<Option<V>>, SfcError> {
-        let total = ops.len();
         let (keys, order) = self.key_batch(&ops)?;
-        // Cut the sorted run at shard boundaries into owned per-shard
-        // work lists of `(submission index, key, op)`.
-        type ShardSlice<const D: usize, V> = (usize, Vec<(usize, u64, BatchOp<D, V>)>);
         let mut slots: Vec<Option<BatchOp<D, V>>> = ops.into_iter().map(Some).collect();
-        let mut slices: Vec<ShardSlice<D, V>> = Vec::new();
+        let mut results: Vec<Option<V>> = Vec::new();
+        results.resize_with(total, || None);
+        // Cut the curve-sorted permutation at shard boundaries: one
+        // `(shard, positions in order)` run per touched shard.
+        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
         let mut at = 0usize;
         while at < order.len() {
             let shard = self.shard_of_key(keys[order[at]]);
@@ -1040,59 +912,45 @@ where
                     .iter()
                     .take_while(|&&i| keys[i] <= self.parts[shard].hi)
                     .count();
-            let slice: Vec<(usize, u64, BatchOp<D, V>)> = order[at..end]
-                .iter()
-                .enumerate()
-                .map(|(n, &i)| {
-                    // Same permutation-lookahead hint as the serial path:
-                    // the gather walks `slots` in curve order.
-                    if let Some(&ahead) = order.get(at + n + APPLY_PREFETCH_DISTANCE) {
-                        crate::prefetch::prefetch_read(&slots[ahead]);
-                    }
-                    (i, keys[i], slots[i].take().expect("each op staged once"))
-                })
-                .collect();
-            slices.push((shard, slice));
+            runs.push((shard, at..end));
             at = end;
         }
-        let mut results: Vec<Option<V>> = Vec::new();
-        results.resize_with(total, || None);
-        if slices.is_empty() {
+        if runs.is_empty() {
             return Ok(results);
         }
+        // Takes the op at sorted position `pos` as `(submission index,
+        // key, op)`. The permutation visits `slots` in curve order, not
+        // submission order — a data-dependent stride the hardware
+        // prefetcher cannot follow — so hint a few ops ahead.
+        let mut take = |pos: usize| {
+            if let Some(&ahead) = order.get(pos + APPLY_PREFETCH_DISTANCE) {
+                crate::prefetch::prefetch_read(&slots[ahead]);
+            }
+            let i = order[pos];
+            (i, keys[i], slots[i].take().expect("each op applied once"))
+        };
+        let threaded = total >= PARALLEL_APPLY_MIN_OPS && runs.len() > 1 && host_has_parallelism();
         let _gate = self.write_gate.lock().expect("write gate poisoned");
         let base = self.pin();
         let mut shards = base.shards.clone();
         let mut delta = 0i64;
-        if slices.len() <= 1 {
-            // One shard owns the whole run: threads buy nothing.
-            for (shard, slice) in slices {
-                let backend = cow_shard(&mut shards[shard]);
-                for (i, key, op) in slice {
-                    results[i] = apply_one(backend, key, op, &mut delta);
-                }
-            }
-        } else {
-            // Each worker owns its shard's private fork outright — the
-            // workers hold no lock and share nothing mutable, so the
-            // apply contends with readers on exactly nothing.
-            type ForkedShard<B, const D: usize, V> = (usize, B, Vec<(usize, u64, BatchOp<D, V>)>);
-            let mut forked: Vec<ForkedShard<B, D, V>> = slices
+        if threaded {
+            // Each worker owns its shard's private fork and its run's ops
+            // outright — the workers hold no lock and share nothing
+            // mutable, so the apply contends with readers on nothing.
+            type Run<B, const D: usize, V> = (usize, B, Vec<(usize, u64, BatchOp<D, V>)>);
+            let mut work: Vec<Run<B, D, V>> = runs
                 .into_iter()
-                .map(|(shard, slice)| {
-                    let backend = shards[shard].fork();
-                    (shard, backend, slice)
-                })
+                .map(|(shard, span)| (shard, shards[shard].fork(), span.map(&mut take).collect()))
                 .collect();
-            type ShardChunk<V> = (Vec<(usize, Option<V>)>, i64);
-            let chunks: Vec<ShardChunk<V>> = std::thread::scope(|s| {
-                let handles: Vec<_> = forked
+            type Applied<V> = (Vec<(usize, Option<V>)>, i64);
+            let applied: Vec<Applied<V>> = std::thread::scope(|s| {
+                let handles: Vec<_> = work
                     .iter_mut()
-                    .map(|entry| {
+                    .map(|(_, backend, run)| {
                         s.spawn(move || {
-                            let (_, backend, slice) = entry;
                             let mut local_delta = 0i64;
-                            let pairs: Vec<(usize, Option<V>)> = slice
+                            let pairs: Vec<(usize, Option<V>)> = run
                                 .drain(..)
                                 .map(|(i, key, op)| {
                                     (i, apply_one(backend, key, op, &mut local_delta))
@@ -1107,13 +965,23 @@ where
                     .map(|h| h.join().expect("shard apply worker panicked"))
                     .collect()
             });
-            for (shard, backend, _) in forked {
+            for (shard, backend, _) in work {
                 shards[shard] = Arc::new(backend);
             }
-            for (pairs, d) in chunks {
+            for (pairs, d) in applied {
                 delta += d;
                 for (i, displaced) in pairs {
                     results[i] = displaced;
+                }
+            }
+        } else {
+            // Inline: fork each touched shard (readers keep scanning
+            // `base`'s copy untouched) and apply its run in place.
+            for (shard, span) in runs {
+                let backend = cow_shard(&mut shards[shard]);
+                for pos in span {
+                    let (i, key, op) = take(pos);
+                    results[i] = apply_one(backend, key, op, &mut delta);
                 }
             }
         }
@@ -1134,15 +1002,13 @@ where
     /// Answers a rectangle query: decomposes it into cluster ranges, splits
     /// them at shard boundaries, and scans the shards concurrently
     /// ([`std::thread::scope`]), merging records in shard order — which is
-    /// curve-key order, so results match the unsharded table exactly.
+    /// curve-key order, so the rows do not depend on the shard count.
     ///
-    /// `opts` selects the execution strategy exactly as on
-    /// [`SfcTable::query_rect`](crate::SfcTable::query_rect): exact
-    /// cluster ranges (the default), gap-coalesced / seek-budgeted scans
-    /// ([`RangeMode`]), or the adaptive planner
-    /// ([`QueryOptions::planned`], whose chosen [`QueryPlan`] comes back
-    /// in [`QueryResult::plan`]). The rows are identical whatever the
-    /// strategy; only the seek/read-amplification trade moves.
+    /// `opts` selects the decomposition: the exact cluster ranges (the
+    /// default: seeks per query = the paper's clustering number), or the
+    /// adaptive planner ([`QueryOptions::planned`], whose chosen
+    /// [`QueryPlan`] comes back in [`QueryResult::plan`]). The rows are
+    /// identical either way; only the seek/read-amplification trade moves.
     ///
     /// The merged [`IoStats`] *sum* the shards' I/O (total work); per-shard
     /// breakdowns — from which a parallel critical path `max(time_us)` can
@@ -1155,53 +1021,10 @@ where
         q: &RectQuery<D>,
         opts: &QueryOptions<'_>,
     ) -> Result<QueryResult<D, V>, SfcError> {
-        if let Some(planner) = opts.planner {
-            return self.query_planned_inner(q, planner).map(|(mut r, plan)| {
-                r.plan = Some(plan);
-                r
-            });
+        match opts.planner {
+            Some(planner) => self.query_planned(q, planner),
+            None => Ok(self.query_rect_with_shard_stats(q)?.0),
         }
-        match opts.mode {
-            RangeMode::Exact => {
-                let (result, _) = self.query_rect_with_shard_stats(q)?;
-                Ok(result)
-            }
-            RangeMode::Coalesced { max_gap } => {
-                self.query_coalesced_inner(q, |ranges| coalesce_ranges(ranges, max_gap))
-            }
-            RangeMode::Budget { max_ranges } => {
-                self.query_coalesced_inner(q, |ranges| coalesce_to_budget(ranges, max_ranges))
-            }
-        }
-    }
-
-    /// The fixed-coalescing path behind [`Self::query_rect`]: `merge`
-    /// shrinks the global decomposition before the shard split, and the
-    /// concurrent scan filters out records from absorbed gap cells
-    /// (`io.entries` counts the matching rows).
-    fn query_coalesced_inner(
-        &self,
-        q: &RectQuery<D>,
-        merge: impl FnOnce(&[(u64, u64)]) -> Vec<(u64, u64)>,
-    ) -> Result<QueryResult<D, V>, SfcError> {
-        self.check_fits(q)?;
-        let version = self.pin();
-        let merged = {
-            let mut scratch = self.scratch.checkout();
-            merge(scratch.ranges_of(&self.curve, q))
-        };
-        let (work, pieces) = self.split_ranges(&merged);
-        let (records, per_shard) = self.scan_work(&version, &work, q, true)?;
-        let mut io = IoStats::default();
-        for stats in &per_shard {
-            io.absorb(*stats);
-        }
-        Ok(QueryResult {
-            records,
-            ranges_scanned: pieces,
-            io,
-            plan: None,
-        })
     }
 
     /// Like [`Self::query_rect`], but also returns each shard's own
@@ -1217,21 +1040,7 @@ where
         q: &RectQuery<D>,
     ) -> Result<(QueryResult<D, V>, Vec<IoStats>), SfcError> {
         let version = self.pin();
-        let (work, pieces) = self.split_query(q)?;
-        let (records, per_shard) = self.scan_work(&version, &work, q, false)?;
-        let mut io = IoStats::default();
-        for stats in &per_shard {
-            io.absorb(*stats);
-        }
-        Ok((
-            QueryResult {
-                records,
-                ranges_scanned: pieces,
-                io,
-                plan: None,
-            },
-            per_shard,
-        ))
+        self.scan_work(&version, self.split_query(q)?, q, false)
     }
 
     /// Answers a rectangle query against a **reconstructed historical**
@@ -1303,32 +1112,16 @@ where
         Ok(planner.plan_ranges(full, self.density()))
     }
 
-    /// Answers a rectangle query through the adaptive planner.
-    ///
-    /// # Errors
-    /// If the query does not fit inside the universe.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `query_rect(q, &QueryOptions::planned(planner))`; the plan is in `QueryResult::plan`"
-    )]
-    pub fn query_rect_planned(
-        &self,
-        q: &RectQuery<D>,
-        planner: &Planner,
-    ) -> Result<(QueryResult<D, V>, QueryPlan), SfcError> {
-        self.query_planned_inner(q, planner)
-    }
-
     /// The planner path behind [`Self::query_rect`]: plans the
     /// decomposition budget globally, splits the planned ranges at shard
     /// boundaries, scans concurrently (filtering out records from absorbed
     /// gap cells), and feeds both the merged [`IoStats`] and the per-shard
     /// breakdown back into the planner (hit rate and latency skew).
-    fn query_planned_inner(
+    fn query_planned(
         &self,
         q: &RectQuery<D>,
         planner: &Planner,
-    ) -> Result<(QueryResult<D, V>, QueryPlan), SfcError> {
+    ) -> Result<QueryResult<D, V>, SfcError> {
         // Pin once: the plan is costed on this version's record density
         // and the scan executes against the same version, so the stats
         // fed back to the planner describe exactly the state it planned.
@@ -1341,96 +1134,72 @@ where
                 crate::plan::record_density(version.len(), self.curve.universe().cell_count());
             planner.plan_ranges(full, density)
         };
-        let (work, pieces) = self.split_ranges(&plan.ranges);
         let started = std::time::Instant::now();
-        let (records, per_shard) = self.scan_work(&version, &work, q, true)?;
+        let (mut result, per_shard) =
+            self.scan_work(&version, self.split_ranges(&plan.ranges), q, true)?;
         let wall_us = started.elapsed().as_secs_f64() * 1e6;
-        let mut io = IoStats::default();
-        for stats in &per_shard {
-            io.absorb(*stats);
-        }
+        let io = result.io;
         planner.observe(&io);
         planner.observe_shards(&per_shard);
         if io.real_reads > 0 {
             planner.observe_latency(io.real_seeks, io.real_reads, wall_us);
         }
-        Ok((
-            QueryResult {
-                records,
-                ranges_scanned: pieces,
-                io,
-                plan: None,
-            },
-            plan,
-        ))
+        result.plan = Some(plan);
+        Ok(result)
     }
 
-    /// Scans a per-shard worklist against one pinned version, inline for
-    /// a single involved shard and under [`std::thread::scope`]
-    /// otherwise. No lock is held anywhere in the scan — the version is
-    /// immutable — so scans never wait on writers (or each other). With
-    /// `filter`, records outside `q` are dropped (plans absorb gap
-    /// cells); without it they are debug-asserted impossible (exact
-    /// decompositions never scan outside the query).
+    /// Scans a split query (per-shard worklist and sub-range count)
+    /// against one pinned version, inline for a single involved shard and
+    /// under [`std::thread::scope`] otherwise, returning the merged result
+    /// and each shard's own [`IoStats`]. No lock is held anywhere in the
+    /// scan — the version is immutable — so scans never wait on writers
+    /// (or each other). With `filter`, records outside `q` are dropped
+    /// (plans absorb gap cells); without it they are debug-asserted
+    /// impossible (exact decompositions never scan outside the query).
     fn scan_work(
         &self,
         version: &TableVersion<B>,
-        work: &ShardWork,
+        (work, pieces): (ShardWork, u64),
         q: &RectQuery<D>,
         filter: bool,
-    ) -> Result<(Vec<Record<D, V>>, Vec<IoStats>), SfcError> {
+    ) -> Result<(QueryResult<D, V>, Vec<IoStats>), SfcError> {
+        let involved: Vec<usize> = (0..work.len()).filter(|&s| !work[s].is_empty()).collect();
+        let scanned = fan_out(&involved, |shard| {
+            let mut recs = Vec::new();
+            // Storage failure is a result, not a panic: a torn segment
+            // page must fail the query, not poison the process.
+            let stats = scan_shard(&*version.shards[shard], &work[shard], q, filter, &mut recs)?;
+            Ok((recs, stats))
+        })?;
         let mut per_shard = vec![IoStats::default(); version.shards.len()];
         let mut records = Vec::new();
-        let involved = work.iter().filter(|w| !w.is_empty()).count();
-        if involved <= 1 {
-            // One shard (or none): scan inline, no thread overhead.
-            for (shard, ranges) in work.iter().enumerate() {
-                if !ranges.is_empty() {
-                    let backend: &B = &version.shards[shard];
-                    per_shard[shard] = scan_shard(backend, ranges, q, filter, &mut records)?;
-                }
-            }
-        } else {
-            type WorkerOut<const D: usize, V> =
-                Result<(usize, Vec<Record<D, V>>, IoStats), SfcError>;
-            let chunks: Vec<WorkerOut<D, V>> = std::thread::scope(|s| {
-                let handles: Vec<_> = work
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ranges)| !ranges.is_empty())
-                    .map(|(shard, ranges)| {
-                        let backend: &B = &version.shards[shard];
-                        s.spawn(move || {
-                            let mut recs = Vec::new();
-                            // Storage failure is a result, not a panic: a
-                            // torn segment page must fail the query, not
-                            // poison the process.
-                            let stats = scan_shard(backend, ranges, q, filter, &mut recs)?;
-                            Ok((shard, recs, stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            // Handles were spawned in shard order, so concatenation keeps
-            // global curve-key order.
-            for chunk in chunks {
-                let (shard, recs, stats) = chunk?;
-                per_shard[shard] = stats;
+        let mut io = IoStats::default();
+        // Outputs come back in shard order, so concatenation keeps global
+        // curve-key order.
+        for (&shard, (recs, stats)) in involved.iter().zip(scanned) {
+            per_shard[shard] = stats;
+            io.absorb(stats);
+            if records.is_empty() {
+                records = recs;
+            } else {
                 records.extend(recs);
             }
         }
-        Ok((records, per_shard))
+        let result = QueryResult {
+            records,
+            ranges_scanned: pieces,
+            io,
+            plan: None,
+        };
+        Ok((result, per_shard))
     }
 
-    /// Answers a batch of rectangle queries with one thread scope: each
-    /// shard worker processes its sub-ranges of *every* query, so the
-    /// per-query spawn cost is amortized across the batch — the
-    /// concurrency analogue of
-    /// [`SfcTable::query_rect_batch`](crate::SfcTable::query_rect_batch).
+    /// Answers a batch of rectangle queries against one pinned version:
+    /// each involved shard scans its sub-ranges of *every* query in one
+    /// pass (one scoped worker per shard, or inline when a single shard is
+    /// involved), so the per-query spawn cost is amortized across the
+    /// batch. Each result equals what [`Self::query_rect`] with
+    /// [`QueryOptions::exact`] returns for that query.
     ///
     /// # Errors
     /// If any query does not fit inside the universe.
@@ -1446,49 +1215,23 @@ where
         for q in queries {
             splits.push(self.split_query(q)?);
         }
-        // Transpose into per-shard worklists of (query, lo, hi).
-        let mut shard_work: Vec<Vec<(usize, u64, u64)>> = vec![Vec::new(); version.shards.len()];
-        for (qi, (work, _)) in splits.iter().enumerate() {
-            for (shard, ranges) in work.iter().enumerate() {
-                for &(lo, hi) in ranges {
-                    shard_work[shard].push((qi, lo, hi));
+        let involved: Vec<usize> = (0..self.parts.len())
+            .filter(|&s| splits.iter().any(|(work, _)| !work[s].is_empty()))
+            .collect();
+        // Per involved shard, in query order: (query, records, I/O).
+        type ShardOut<const D: usize, V> = Vec<(usize, Vec<Record<D, V>>, IoStats)>;
+        let scanned: Vec<ShardOut<D, V>> = fan_out(&involved, |shard| {
+            let backend: &B = &version.shards[shard];
+            let mut out = Vec::new();
+            for (qi, (work, _)) in splits.iter().enumerate() {
+                if !work[shard].is_empty() {
+                    let mut recs = Vec::new();
+                    let io = scan_shard(backend, &work[shard], &queries[qi], false, &mut recs)?;
+                    out.push((qi, recs, io));
                 }
             }
-        }
-        type Chunk<const D: usize, V> =
-            Result<(usize, Vec<(usize, Vec<Record<D, V>>, IoStats)>), SfcError>;
-        let chunks: Vec<Chunk<D, V>> = std::thread::scope(|s| {
-            let handles: Vec<_> = shard_work
-                .iter()
-                .enumerate()
-                .filter(|(_, wl)| !wl.is_empty())
-                .map(|(shard, worklist)| {
-                    let backend: &B = &version.shards[shard];
-                    s.spawn(move || {
-                        let mut out: Vec<(usize, Vec<Record<D, V>>, IoStats)> = Vec::new();
-                        for &(qi, lo, hi) in worklist {
-                            if out.last().is_none_or(|&(last_qi, _, _)| last_qi != qi) {
-                                out.push((qi, Vec::new(), IoStats::default()));
-                            }
-                            let (_, recs, io) = out.last_mut().expect("just pushed");
-                            let stats =
-                                backend.scan(lo, hi, &mut |_, rec| recs.push(rec.clone()))?;
-                            io.seeks += 1;
-                            io.pages += stats.pages;
-                            io.cache_hits += stats.cache_hits;
-                        }
-                        for (_, recs, io) in &mut out {
-                            io.entries = recs.len() as u64;
-                        }
-                        Ok((shard, out))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
+            Ok(out)
+        })?;
         let mut results: Vec<QueryResult<D, V>> = splits
             .iter()
             .map(|&(_, pieces)| QueryResult {
@@ -1498,14 +1241,11 @@ where
                 plan: None,
             })
             .collect();
-        // Chunks arrive in shard order (spawn order), and within a shard in
-        // query order, so per-query extension preserves curve-key order.
-        for chunk in chunks {
-            let (_, chunk) = chunk?;
-            for (qi, recs, io) in chunk {
-                results[qi].records.extend(recs);
-                results[qi].io.absorb(io);
-            }
+        // Outputs arrive in shard order, and within a shard in query
+        // order, so per-query extension preserves curve-key order.
+        for (qi, recs, io) in scanned.into_iter().flatten() {
+            results[qi].records.extend(recs);
+            results[qi].io.absorb(io);
         }
         Ok(results)
     }
@@ -1561,15 +1301,6 @@ where
             .map(ValueGuard::new))
     }
 
-    /// Owned-copy point lookup at this epoch.
-    ///
-    /// # Errors
-    /// If the point lies outside the curve's universe.
-    #[deprecated(since = "0.8.0", note = "use `get(p)?.map(|g| g.cloned())` instead")]
-    pub fn get_cloned(&self, p: Point<D>) -> Result<Option<V>, SfcError> {
-        Ok(self.get(p)?.map(|guard| guard.cloned()))
-    }
-
     /// Streams shard `shard`'s entries at this epoch in ascending key
     /// order — the fixed-epoch form of
     /// [`ShardedTable::persist_shard`], which durable checkpoints walk so
@@ -1602,25 +1333,102 @@ where
     /// # Errors
     /// If the query does not fit inside the universe.
     pub fn query_rect(&self, q: &RectQuery<D>) -> Result<QueryResult<D, V>, SfcError> {
-        let (work, pieces) = self.table.split_query(q)?;
-        let (records, per_shard) = self.table.scan_work(&self.version, &work, q, false)?;
-        let mut io = IoStats::default();
-        for stats in &per_shard {
-            io.absorb(*stats);
-        }
-        Ok(QueryResult {
-            records,
-            ranges_scanned: pieces,
-            io,
-            plan: None,
-        })
+        let split = self.table.split_query(q)?;
+        Ok(self.table.scan_work(&self.version, split, q, false)?.0)
     }
+
+    /// The `k` records nearest to `center` in Euclidean distance at this
+    /// epoch — the "multi-dimensional similarity searching" application
+    /// of §I.
+    ///
+    /// Works by querying expanding Chebyshev windows around `center`
+    /// (radius doubling each round): once at least `k` hits lie within
+    /// Euclidean distance `r` of the center, no record outside the window
+    /// can be closer. Every round reads this snapshot's epoch, so a batch
+    /// applied between rounds cannot tear the answer. Returns `(record,
+    /// squared distance)` pairs sorted by distance (ties broken by curve
+    /// key order), with fewer than `k` entries only if the snapshot holds
+    /// fewer than `k` records.
+    ///
+    /// # Errors
+    /// If `center` lies outside the universe.
+    pub fn knn(&self, center: Point<D>, k: usize) -> Result<Vec<(Record<D, V>, u64)>, SfcError> {
+        let universe = self.table.curve.universe();
+        let side = universe.side();
+        if !universe.contains(center) {
+            return Err(SfcError::PointOutOfBounds {
+                point: center.to_string(),
+                side,
+            });
+        }
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        let dist2 = |p: Point<D>| -> u64 {
+            (0..D)
+                .map(|d| {
+                    let delta = u64::from(p.0[d].abs_diff(center.0[d]));
+                    delta * delta
+                })
+                .sum()
+        };
+        let mut radius = 1u32;
+        loop {
+            let lo: [u32; D] = std::array::from_fn(|d| center.0[d].saturating_sub(radius));
+            let len: [u32; D] =
+                std::array::from_fn(|d| (center.0[d] + radius).min(side - 1) - lo[d] + 1);
+            let window = RectQuery::new(lo, len).expect("window is non-degenerate");
+            let mut hits: Vec<(Record<D, V>, u64)> = self
+                .query_rect(&window)?
+                .records
+                .into_iter()
+                .map(|r| {
+                    let d2 = dist2(r.point);
+                    (r, d2)
+                })
+                .collect();
+            hits.sort_by_key(|&(_, d2)| d2);
+            let safe = u64::from(radius) * u64::from(radius);
+            let certain = hits.iter().take(k).filter(|&&(_, d2)| d2 <= safe).count();
+            let window_is_whole_universe = len.iter().all(|&l| l == side);
+            if certain >= k || window_is_whole_universe {
+                hits.truncate(k);
+                return Ok(hits);
+            }
+            radius = radius.saturating_mul(2);
+        }
+    }
+}
+
+/// Runs `scan` once per shard in `shards` — inline when at most one shard
+/// is involved (threads would buy nothing), otherwise on one
+/// [`std::thread::scope`] worker per shard — and returns the outputs in
+/// the order of `shards`.
+fn fan_out<T: Send>(
+    shards: &[usize],
+    scan: impl Fn(usize) -> Result<T, SfcError> + Sync,
+) -> Result<Vec<T>, SfcError> {
+    if shards.len() <= 1 {
+        return shards.iter().map(|&shard| scan(shard)).collect();
+    }
+    let scan = &scan;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = shards
+            .iter()
+            .map(|&shard| s.spawn(move || scan(shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    })
 }
 
 /// Applies one write to a shard backend, accumulating the record-count
 /// delta and returning the displaced payload — the single op kernel
-/// every batch-apply path (serial, parallel, single-shard fallback)
-/// shares, so their semantics cannot drift apart.
+/// behind every write path (inline and threaded batch runs, replay, and
+/// the `&mut self` single-record writers), so their semantics cannot
+/// drift apart.
 fn apply_one<const D: usize, V, B: Backend<Record<D, V>>>(
     backend: &mut B,
     key: u64,
@@ -1686,7 +1494,6 @@ fn scan_shard<const D: usize, V: Clone, B: Backend<Record<D, V>>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::SfcTable;
     use onion_core::Onion2D;
 
     fn dense_records(side: u32) -> Vec<(Point<2>, u32)> {
@@ -1702,13 +1509,14 @@ mod tests {
     #[test]
     fn sharded_matches_single_table() {
         let side = 16u32;
-        let single = SfcTable::build(
+        let single = ShardedTable::build(
             Onion2D::new(side).unwrap(),
             dense_records(side),
             DiskModel::hdd(),
+            1,
         )
         .unwrap();
-        for shards in [1usize, 2, 3, 4, 7] {
+        for shards in [2usize, 3, 4, 7] {
             let sharded = ShardedTable::build(
                 Onion2D::new(side).unwrap(),
                 dense_records(side),
@@ -1736,31 +1544,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_matches_individual_sharded_queries() {
-        let side = 16u32;
-        let sharded = ShardedTable::build(
-            Onion2D::new(side).unwrap(),
-            dense_records(side),
-            DiskModel::ssd(),
-            4,
-        )
-        .unwrap();
+    /// Runs one query batch through `batched` and the same queries one by
+    /// one through `single` (an identically built table, so page caches
+    /// evolve in step), asserting identical results; returns the batch's
+    /// total measured page reads.
+    fn assert_batch_matches_individual<B>(
+        batched: &ShardedTable<Onion2D, u32, 2, B>,
+        single: &ShardedTable<Onion2D, u32, 2, B>,
+    ) -> u64
+    where
+        B: Backend<Record<2, u32>> + Send + Sync,
+    {
         let queries = [
             RectQuery::new([0, 0], [16, 16]).unwrap(),
             RectQuery::new([5, 1], [4, 9]).unwrap(),
             RectQuery::new([15, 15], [1, 1]).unwrap(),
         ];
-        let batch = sharded.query_rect_batch(&queries).unwrap();
+        let batch = batched.query_rect_batch(&queries).unwrap();
         for (q, res) in queries.iter().zip(&batch) {
-            let single = sharded.query_rect(q, &QueryOptions::default()).unwrap();
-            assert_eq!(res.records, single.records, "{q:?}");
-            assert_eq!(res.io, single.io, "{q:?}");
-            assert_eq!(res.ranges_scanned, single.ranges_scanned, "{q:?}");
+            let one = single.query_rect(q, &QueryOptions::exact()).unwrap();
+            assert_eq!(res.records, one.records, "{q:?}");
+            assert_eq!(res.io, one.io, "{q:?}");
+            assert_eq!(res.ranges_scanned, one.ranges_scanned, "{q:?}");
         }
-        assert!(sharded
+        assert!(batched
             .query_rect_batch(&[RectQuery::new([10, 10], [10, 10]).unwrap()])
             .is_err());
+        batch.iter().map(|r| r.io.real_reads).sum()
+    }
+
+    #[test]
+    fn batch_matches_individual_sharded_queries() {
+        let side = 16u32;
+        for shards in [1usize, 4] {
+            let build = || {
+                ShardedTable::build(
+                    Onion2D::new(side).unwrap(),
+                    dense_records(side),
+                    DiskModel::ssd(),
+                    shards,
+                )
+                .unwrap()
+            };
+            assert_batch_matches_individual(&build(), &build());
+        }
+        // Disk-resident shards: the batch reports measured reads and seeks
+        // exactly as the one-query path does.
+        let dir = std::env::temp_dir().join(format!("sfc-shard-batch-{}", std::process::id()));
+        let cfg = StoreConfig {
+            page_size: 256,
+            pool_pages: 4,
+        };
+        let stored = |name: &str| {
+            ShardedTable::build_stored(
+                Onion2D::new(side).unwrap(),
+                dense_records(side),
+                DiskModel::ssd(),
+                2,
+                &dir.join(name),
+                cfg,
+            )
+            .unwrap()
+        };
+        let real_reads = assert_batch_matches_individual(&stored("batch"), &stored("single"));
+        assert!(real_reads > 0, "stored shards read real pages");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1787,17 +1635,27 @@ mod tests {
         assert_eq!(t.update(p, 1).unwrap(), Some(3009));
         assert_eq!(t.delete(p).unwrap(), Some(1));
         assert!(t.get(p).unwrap().is_none());
+        assert_eq!(t.delete(p).unwrap(), None, "second delete is a no-op");
         assert_eq!(t.len(), 255);
+        // Update on a vacant cell inserts; delete takes it out again.
+        assert_eq!(t.update(p, 42).unwrap(), None);
+        assert_eq!(t.len(), 256);
+        assert_eq!(t.delete(p).unwrap(), Some(42));
         assert!(t.insert(Point::new([16, 0]), 0).is_err());
-        // Query reflects the writes, matching a fresh single table.
+        assert!(t.update(Point::new([16, 0]), 0).is_err());
+        assert!(t.delete(Point::new([16, 0])).is_err());
+        assert_eq!(t.len(), 255);
+        assert_eq!(t.version_epoch(), 0, "in-place writes install no epoch");
+        // Query reflects the writes, matching a fresh single-shard table.
         let q = RectQuery::new([2, 8], [4, 4]).unwrap();
-        let expect: Vec<u32> = SfcTable::build(
+        let expect: Vec<u32> = ShardedTable::build(
             Onion2D::new(side).unwrap(),
             dense_records(side)
                 .into_iter()
                 .filter(|&(pt, _)| pt != p)
                 .collect(),
             DiskModel::ssd(),
+            1,
         )
         .unwrap()
         .query_rect(&q, &QueryOptions::default())
@@ -2100,5 +1958,77 @@ mod tests {
         assert!(cold.io.pages > 0);
         assert_eq!(warm.io.pages, 0, "every shard pool warm");
         assert_eq!(warm.io.cache_hits, cold.io.pages);
+    }
+
+    #[test]
+    fn knn_matches_bruteforce() {
+        let t = ShardedTable::build(
+            Onion2D::new(16).unwrap(),
+            dense_records(16),
+            DiskModel::ssd(),
+            3,
+        )
+        .unwrap();
+        let snap = t.snapshot();
+        for center in [Point::new([0, 0]), Point::new([8, 8]), Point::new([15, 3])] {
+            for k in [1usize, 4, 10] {
+                let got = snap.knn(center, k).unwrap();
+                // Brute force distances over the dense grid.
+                let mut all: Vec<u64> = (0..16u32)
+                    .flat_map(|x| (0..16u32).map(move |y| (x, y)))
+                    .map(|(x, y)| {
+                        let dx = u64::from(x.abs_diff(center.0[0]));
+                        let dy = u64::from(y.abs_diff(center.0[1]));
+                        dx * dx + dy * dy
+                    })
+                    .collect();
+                all.sort_unstable();
+                let expect: Vec<u64> = all.into_iter().take(k).collect();
+                let got_d: Vec<u64> = got.iter().map(|&(_, d2)| d2).collect();
+                assert_eq!(got_d, expect, "center {center} k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn knn_on_sparse_table() {
+        let records = vec![
+            (Point::new([1, 1]), 0u32),
+            (Point::new([60, 60]), 1),
+            (Point::new([10, 12]), 2),
+            (Point::new([11, 12]), 3),
+        ];
+        let t =
+            ShardedTable::build(Onion2D::new(64).unwrap(), records, DiskModel::ssd(), 2).unwrap();
+        let snap = t.snapshot();
+        let got = snap.knn(Point::new([10, 10]), 2).unwrap();
+        let vals: Vec<u32> = got.iter().map(|(r, _)| r.value).collect();
+        assert_eq!(vals, vec![2, 3]);
+        // Asking for more neighbors than records returns all of them.
+        assert_eq!(snap.knn(Point::new([10, 10]), 99).unwrap().len(), 4);
+        // k = 0 is a no-op.
+        assert!(snap.knn(Point::new([1, 1]), 0).unwrap().is_empty());
+        // Out-of-bounds centers are rejected.
+        assert!(snap.knn(Point::new([64, 0]), 1).is_err());
+    }
+
+    #[test]
+    fn snapshot_knn_ignores_later_batches() {
+        let records = vec![(Point::new([10, 12]), 2u32), (Point::new([40, 40]), 7)];
+        let t =
+            ShardedTable::build(Onion2D::new(64).unwrap(), records, DiskModel::ssd(), 4).unwrap();
+        let snap = t.snapshot();
+        // A closer record lands after the snapshot was taken.
+        t.apply_batch(vec![
+            BatchOp::Insert(Point::new([10, 10]), 9),
+            BatchOp::Delete(Point::new([10, 12])),
+        ])
+        .unwrap();
+        let vals = |hits: Vec<(Record<2, u32>, u64)>| -> Vec<u32> {
+            hits.into_iter().map(|(r, _)| r.value).collect()
+        };
+        let center = Point::new([10, 10]);
+        assert_eq!(vals(snap.knn(center, 2).unwrap()), vec![2, 7]);
+        assert_eq!(vals(t.snapshot().knn(center, 2).unwrap()), vec![9, 7]);
     }
 }

@@ -1,23 +1,84 @@
 //! Engine-level properties of the layered storage engine:
 //!
-//! * the table and sharding layers are `Send + Sync` (checked at compile
-//!   time) and actually serve concurrent readers;
+//! * the table layer is `Send + Sync` (checked at compile time) and
+//!   actually serves concurrent readers;
 //! * insert/delete sequences preserve every B+-tree structural invariant
 //!   and agree with a naive sorted-multiset model;
-//! * sharded queries return exactly the single-table results for **every**
-//!   registry curve, across shard counts, backends, and write traffic.
+//! * sharded queries return exactly the brute-force answer and the
+//!   one-shard table's answer for **every** registry curve, across shard
+//!   counts, backends, and write traffic.
 
-use onion_core::Point;
+use onion_core::{Point, SpaceFillingCurve};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, CURVE_NAMES};
 use sfc_clustering::{RectQuery, ScratchPool};
 use sfc_index::{
-    BPlusTree, BatchOp, DiskModel, MemoryBackend, PagedBackend, QueryOptions, Record, SfcTable,
-    ShardedTable,
+    BPlusTree, BatchOp, DiskModel, MemoryBackend, PagedBackend, QueryOptions, Record, ShardedTable,
 };
 use sfc_workloads::zipf_points;
+use std::collections::HashMap;
+
+/// Brute-force model of a table's contents: per cell, the stored payloads
+/// in storage order — inserts append, `update` rewrites the newest copy
+/// (inserting into a vacant cell), `delete` removes the oldest.
+#[derive(Default)]
+struct Model(HashMap<[u32; 2], Vec<u64>>);
+
+impl Model {
+    fn loaded(records: &[(Point<2>, u64)]) -> Self {
+        let mut model = Model::default();
+        for &(p, v) in records {
+            model.apply(BatchOp::Insert(p, v));
+        }
+        model
+    }
+
+    /// Applies one write, returning the displaced payload.
+    fn apply(&mut self, op: BatchOp<2, u64>) -> Option<u64> {
+        let vals = self.0.entry(op.point().0).or_default();
+        match op {
+            BatchOp::Insert(_, v) => {
+                vals.push(v);
+                None
+            }
+            BatchOp::Update(_, v) => match vals.last_mut() {
+                Some(old) => Some(std::mem::replace(old, v)),
+                None => {
+                    vals.push(v);
+                    None
+                }
+            },
+            BatchOp::Delete(_) => (!vals.is_empty()).then(|| vals.remove(0)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.values().map(Vec::len).sum()
+    }
+
+    /// The records inside `q`, in `curve`-key order: what a table over
+    /// `curve` must return for `q`.
+    fn scan(&self, curve: &impl SpaceFillingCurve<2>, q: &RectQuery<2>) -> Vec<Record<2, u64>> {
+        let mut cells: Vec<(u64, [u32; 2])> = self
+            .0
+            .keys()
+            .filter(|&&c| q.contains(Point::new(c)))
+            .map(|&c| (curve.index_of(Point::new(c)).unwrap(), c))
+            .collect();
+        cells.sort_unstable();
+        cells
+            .into_iter()
+            .flat_map(|(_, c)| {
+                self.0[&c].iter().map(move |&value| Record {
+                    point: Point::new(c),
+                    value,
+                })
+            })
+            .collect()
+    }
+}
 
 /// Compile-time `Send + Sync` assertions: the engine's whole read path must
 /// be shareable across threads. (This is the satellite guarantee that the
@@ -25,8 +86,6 @@ use sfc_workloads::zipf_points;
 #[test]
 fn engine_types_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SfcTable<onion_core::Onion2D, u64, 2>>();
-    assert_send_sync::<SfcTable<onion_core::Onion2D, u64, 2, PagedBackend<Record<2, u64>>>>();
     assert_send_sync::<ShardedTable<onion_core::Onion2D, u64, 2>>();
     assert_send_sync::<ShardedTable<onion_core::Onion2D, u64, 2, PagedBackend<Record<2, u64>>>>();
     assert_send_sync::<MemoryBackend<u64>>();
@@ -35,7 +94,6 @@ fn engine_types_are_send_and_sync() {
     assert_send_sync::<ScratchPool<2>>();
     // Registry curves are handed out thread-safe, so dyn-curve tables are
     // shareable too.
-    assert_send_sync::<SfcTable<sfc_baselines::DynCurve<2>, u64, 2>>();
     assert_send_sync::<ShardedTable<sfc_baselines::DynCurve<2>, u64, 2>>();
 }
 
@@ -50,10 +108,11 @@ fn concurrent_queries_on_shared_table() {
             records.push((Point::new([x, y]), x * 1000 + y));
         }
     }
-    let table = SfcTable::build(
+    let table = ShardedTable::build(
         onion_core::Onion2D::new(side).unwrap(),
         records,
         DiskModel::ssd(),
+        1,
     )
     .unwrap();
     let queries = [
@@ -86,9 +145,10 @@ fn concurrent_queries_on_shared_table() {
     });
 }
 
-/// Paged sharded tables return the same rows as a plain single table for
-/// every registry curve — the backend changes the cost model, the shards
-/// change the execution, neither may change the answers.
+/// Paged sharded tables return the brute-force rows (and the one-shard
+/// memory table's rows) for every registry curve — the backend changes the
+/// cost model, the shards change the execution, neither may change the
+/// answers.
 #[test]
 fn paged_sharded_equals_single_for_every_registry_curve() {
     let side = 16u32;
@@ -109,17 +169,24 @@ fn paged_sharded_equals_single_for_every_registry_curve() {
         RectQuery::new([3, 5], [9, 8]).unwrap(),
         RectQuery::new([0, 14], [16, 2]).unwrap(),
     ];
+    let truth = Model::loaded(&records);
     for name in CURVE_NAMES {
+        let curve = curve_2d(name, side).unwrap();
         let single =
-            SfcTable::build(curve_2d(name, side).unwrap(), records.clone(), model).unwrap();
+            ShardedTable::build(curve_2d(name, side).unwrap(), records.clone(), model, 1).unwrap();
         let paged_sharded =
             ShardedTable::build_paged(curve_2d(name, side).unwrap(), records.clone(), model, 4, 32)
                 .unwrap();
         for q in &queries {
-            let expect = single
-                .query_rect(q, &QueryOptions::default())
-                .unwrap()
-                .records;
+            let expect = truth.scan(&curve, q);
+            assert_eq!(
+                single
+                    .query_rect(q, &QueryOptions::default())
+                    .unwrap()
+                    .records,
+                expect,
+                "{name} one shard {q:?}"
+            );
             // Cold and warm pools must both return the exact rows.
             let cold = paged_sharded
                 .query_rect(q, &QueryOptions::default())
@@ -168,9 +235,9 @@ proptest! {
     }
 
     /// For every registry curve: a sharded table answers rectangle queries
-    /// exactly like the unsharded table, before and after write traffic,
-    /// across shard counts — including on Zipf-skewed data where shards are
-    /// badly imbalanced.
+    /// exactly like the brute-force filter and the one-shard table, across
+    /// shard counts — including on Zipf-skewed data where shards are badly
+    /// imbalanced.
     #[test]
     fn sharded_equals_single_for_every_registry_curve(
         seed in any::<u64>(),
@@ -184,11 +251,14 @@ proptest! {
             .enumerate()
             .map(|(i, p)| (p, i as u64))
             .collect();
+        let truth = Model::loaded(&records);
         for name in CURVE_NAMES {
-            let single = SfcTable::build(
+            let curve = curve_2d(name, side).unwrap();
+            let single = ShardedTable::build(
                 curve_2d(name, side).unwrap(),
                 records.clone(),
                 DiskModel::hdd(),
+                1,
             )
             .unwrap();
             let sharded = ShardedTable::build(
@@ -208,35 +278,40 @@ proptest! {
                 RectQuery::new([0, 0], [1, 1]).unwrap(),
             ];
             for q in &queries {
+                let expect = truth.scan(&curve, q);
                 let a = single.query_rect(q, &QueryOptions::default()).unwrap();
                 let b = sharded.query_rect(q, &QueryOptions::default()).unwrap();
+                prop_assert_eq!(&a.records, &expect, "{} one shard {:?}", name, q);
                 prop_assert_eq!(
-                    &a.records, &b.records,
+                    &b.records, &expect,
                     "{} shards={} {:?}", name, shards, q
                 );
                 prop_assert_eq!(a.io.entries, b.io.entries);
             }
             let batch = sharded.query_rect_batch(&queries).unwrap();
             for (q, res) in queries.iter().zip(&batch) {
-                prop_assert_eq!(
-                    &res.records,
-                    &single.query_rect(q, &QueryOptions::default()).unwrap().records,
-                    "batch {} {:?}", name, q
-                );
+                let expect = truth.scan(&curve, q);
+                prop_assert_eq!(&res.records, &expect, "batch {} {:?}", name, q);
             }
         }
     }
 
-    /// Write traffic routes identically through both layers for every
-    /// registry curve: after the same inserts/deletes/updates, sharded and
-    /// single tables stay equal.
+    /// Write traffic routes identically at every shard count for every
+    /// registry curve: after the same inserts/deletes/updates, the sharded
+    /// table, the one-shard table and the model stay equal.
     #[test]
     fn writes_keep_sharded_and_single_in_sync(seed in any::<u64>(), shards in 2usize..6) {
         let side = 16u32;
         for name in CURVE_NAMES {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut single: SfcTable<_, u64, 2> =
-                SfcTable::new(curve_2d(name, side).unwrap(), DiskModel::ssd());
+            let mut model = Model::default();
+            let mut single: ShardedTable<_, u64, 2> = ShardedTable::build(
+                curve_2d(name, side).unwrap(),
+                Vec::new(),
+                DiskModel::ssd(),
+                1,
+            )
+            .unwrap();
             let mut sharded: ShardedTable<_, u64, 2> = ShardedTable::build(
                 curve_2d(name, side).unwrap(),
                 Vec::new(),
@@ -248,30 +323,34 @@ proptest! {
                 let p = Point::new([rng.random_range(0..side), rng.random_range(0..side)]);
                 match rng.random_range(0..4u32) {
                     0 => {
-                        prop_assert_eq!(
-                            single.delete(p).unwrap(),
-                            sharded.delete(p).unwrap(),
-                            "{} delete", name
-                        );
+                        let expect = model.apply(BatchOp::Delete(p));
+                        let got = (single.delete(p), sharded.delete(p));
+                        prop_assert_eq!(got, (Ok(expect), Ok(expect)), "{} delete", name);
                     }
                     1 => {
-                        prop_assert_eq!(
-                            single.update(p, step).unwrap(),
-                            sharded.update(p, step).unwrap(),
-                            "{} update", name
-                        );
+                        let expect = model.apply(BatchOp::Update(p, step));
+                        let got = (single.update(p, step), sharded.update(p, step));
+                        prop_assert_eq!(got, (Ok(expect), Ok(expect)), "{} update", name);
                     }
                     _ => {
+                        model.apply(BatchOp::Insert(p, step));
                         single.insert(p, step).unwrap();
                         sharded.insert(p, step).unwrap();
                     }
                 }
             }
-            prop_assert_eq!(single.len(), sharded.len());
+            prop_assert_eq!(single.len(), model.len());
+            prop_assert_eq!(sharded.len(), model.len());
             let q = RectQuery::new([0, 0], [side, side]).unwrap();
+            let expect = model.scan(&curve_2d(name, side).unwrap(), &q);
             prop_assert_eq!(
-                single.query_rect(&q, &QueryOptions::default()).unwrap().records,
-                sharded.query_rect(&q, &QueryOptions::default()).unwrap().records,
+                &single.query_rect(&q, &QueryOptions::default()).unwrap().records,
+                &expect,
+                "{}", name
+            );
+            prop_assert_eq!(
+                &sharded.query_rect(&q, &QueryOptions::default()).unwrap().records,
+                &expect,
                 "{}", name
             );
         }
@@ -291,16 +370,20 @@ proptest! {
             .map(|(i, p)| (p, i as u64))
             .collect();
         let model = DiskModel { page_size: 32, seek_us: 8_000.0, transfer_us: 100.0 };
-        let mem = SfcTable::build(
+        let truth = Model::loaded(&records);
+        let curve = curve_2d("onion", side).unwrap();
+        let mem = ShardedTable::build(
             curve_2d("onion", side).unwrap(),
             records.clone(),
             model,
+            1,
         )
         .unwrap();
-        let paged = SfcTable::build_paged(
+        let paged = ShardedTable::build_paged(
             curve_2d("onion", side).unwrap(),
             records,
             model,
+            1,
             128,
         )
         .unwrap();
@@ -312,6 +395,7 @@ proptest! {
             let a = mem.query_rect(&q, &QueryOptions::default()).unwrap();
             let cold = paged.query_rect(&q, &QueryOptions::default()).unwrap();
             let warm = paged.query_rect(&q, &QueryOptions::default()).unwrap();
+            prop_assert_eq!(&a.records, &truth.scan(&curve, &q), "{:?}", q);
             prop_assert_eq!(&a.records, &cold.records, "{:?}", q);
             prop_assert_eq!(&a.records, &warm.records, "{:?}", q);
             prop_assert_eq!(a.io.seeks, cold.io.seeks);
@@ -324,19 +408,19 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-    /// The parallel epoch apply is observationally identical to the
-    /// serial reference: for every registry curve and 1/2/5 shards, a
-    /// batch large enough to cross `apply_batch`'s thread threshold
-    /// returns the same displaced payloads (in submission order) and
-    /// lands both tables on the same record count and full-scan state as
-    /// [`ShardedTable::apply_batch_serial`] — including adversarial
-    /// same-point op chains, whose submission order parallelism must
-    /// never reorder.
+    /// `apply_batch`'s schedule (inline or threaded runs) is unobservable:
+    /// for every registry curve and 1/2/5 shards, a batch large enough to
+    /// cross the thread threshold returns the same displaced payloads (in
+    /// submission order) as the same batch on a one-shard table — whose
+    /// single run always applies inline — and as the sequential model, and
+    /// lands all three on the same record count and full-scan state. The
+    /// ops include adversarial same-point chains, whose submission order
+    /// threading must never reorder.
     #[test]
-    fn parallel_apply_matches_serial_for_every_curve(seed in any::<u64>()) {
+    fn apply_batch_matches_one_shard_and_model_for_every_curve(seed in any::<u64>()) {
         let side = 16u32;
         let mut rng = StdRng::seed_from_u64(seed);
-        // Well above the 1024-op parallel threshold, with heavy same-point
+        // Well above the 1024-op thread threshold, with heavy same-point
         // traffic (the universe has only 256 cells).
         let ops: Vec<BatchOp<2, u64>> = (0..2048)
             .map(|i| {
@@ -351,36 +435,45 @@ proptest! {
                 }
             })
             .collect();
+        let mut model = Model::default();
+        let expect: Vec<Option<u64>> = ops.iter().map(|op| model.apply(op.clone())).collect();
+        let q = RectQuery::new([0, 0], [side, side]).unwrap();
         for name in CURVE_NAMES {
-            for shards in [1usize, 2, 5] {
-                let parallel: ShardedTable<_, u64, 2> = ShardedTable::build(
+            let single: ShardedTable<_, u64, 2> = ShardedTable::build(
+                curve_2d(name, side).unwrap(),
+                Vec::new(),
+                DiskModel::ssd(),
+                1,
+            )
+            .unwrap();
+            let one = single.apply_batch(ops.clone()).unwrap();
+            prop_assert_eq!(&one, &expect, "{} one shard vs model", name);
+            let one_state = single.query_rect(&q, &QueryOptions::default()).unwrap().records;
+            prop_assert_eq!(
+                &one_state,
+                &model.scan(&curve_2d(name, side).unwrap(), &q),
+                "{} one shard vs model: full-scan state",
+                name
+            );
+            for shards in [2usize, 5] {
+                let sharded: ShardedTable<_, u64, 2> = ShardedTable::build(
                     curve_2d(name, side).unwrap(),
                     Vec::new(),
                     DiskModel::ssd(),
                     shards,
                 )
                 .unwrap();
-                let serial: ShardedTable<_, u64, 2> = ShardedTable::build(
-                    curve_2d(name, side).unwrap(),
-                    Vec::new(),
-                    DiskModel::ssd(),
-                    shards,
-                )
-                .unwrap();
-                let par_results = parallel.apply_batch_parallel(ops.clone()).unwrap();
-                let ser_results = serial.apply_batch_serial(ops.clone()).unwrap();
                 prop_assert_eq!(
-                    &par_results,
-                    &ser_results,
+                    &sharded.apply_batch(ops.clone()).unwrap(),
+                    &one,
                     "{} at {} shards: displaced payloads",
                     name,
                     shards
                 );
-                prop_assert_eq!(parallel.len(), serial.len(), "{} record count", name);
-                let q = RectQuery::new([0, 0], [side, side]).unwrap();
+                prop_assert_eq!(sharded.len(), single.len(), "{} record count", name);
                 prop_assert_eq!(
-                    parallel.query_rect(&q, &QueryOptions::default()).unwrap().records,
-                    serial.query_rect(&q, &QueryOptions::default()).unwrap().records,
+                    &sharded.query_rect(&q, &QueryOptions::default()).unwrap().records,
+                    &one_state,
                     "{} at {} shards: full-scan state",
                     name,
                     shards

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfc_baselines::{curve_2d, CURVE_NAMES};
 use sfc_clustering::RectQuery;
-use sfc_index::{BatchOp, DiskModel, QueryOptions, Record, SfcTable, ShardedTable, StoreConfig};
+use sfc_index::{BatchOp, DiskModel, QueryOptions, Record, ShardedTable, StoreConfig};
 use sfc_workloads::zipf_points;
 use std::path::PathBuf;
 
@@ -67,7 +67,8 @@ fn file_backend_matches_memory_for_every_registry_curve_and_shard_count() {
     let qs = queries(side);
     for name in CURVE_NAMES {
         let single =
-            SfcTable::build(curve_2d(name, side).unwrap(), records.clone(), model()).unwrap();
+            ShardedTable::build(curve_2d(name, side).unwrap(), records.clone(), model(), 1)
+                .unwrap();
         for shards in [1usize, 2, 5] {
             let mem = ShardedTable::build(
                 curve_2d(name, side).unwrap(),

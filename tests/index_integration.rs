@@ -5,7 +5,7 @@
 use onion_curve::baselines::{curve_2d, CURVE_NAMES};
 use onion_curve::clustering::{clustering_number, random_translations, RectQuery};
 use onion_curve::index::{
-    evaluate_partitioning, partition_universe, DiskModel, QueryOptions, SfcTable, ShardedTable,
+    evaluate_partitioning, partition_universe, DiskModel, QueryOptions, ShardedTable,
 };
 use onion_curve::workloads::{clustered_points, grid_points, uniform_points, zipf_points};
 use onion_curve::{Point, SpaceFillingCurve};
@@ -38,7 +38,7 @@ fn every_curve_answers_queries_identically() {
 
     for name in CURVE_NAMES {
         let curve = curve_2d(name, side).unwrap();
-        let table = SfcTable::build(curve, records.clone(), DiskModel::ssd()).unwrap();
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::ssd(), 1).unwrap();
         for q in &queries {
             let res = table.query_rect(q, &QueryOptions::default()).unwrap();
             let mut got: Vec<u64> = res.records.iter().map(|r| r.value).collect();
@@ -63,7 +63,7 @@ fn seeks_equal_clustering_number_for_dense_tables() {
     let queries = random_translations(side, [9u32, 14], 20, &mut rng).unwrap();
     for name in ["onion", "hilbert", "z-order"] {
         let curve = curve_2d(name, side).unwrap();
-        let table = SfcTable::build(curve, records.clone(), DiskModel::hdd()).unwrap();
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), 1).unwrap();
         for q in &queries {
             let res = table.query_rect(q, &QueryOptions::default()).unwrap();
             let curve_again = curve_2d(name, side).unwrap();
@@ -89,7 +89,7 @@ fn onion_needs_fewest_seeks_for_near_full_queries() {
     let mut seeks = std::collections::HashMap::new();
     for name in ["onion", "hilbert", "z-order", "row-major"] {
         let curve = curve_2d(name, side).unwrap();
-        let table = SfcTable::build(curve, records.clone(), DiskModel::hdd()).unwrap();
+        let table = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), 1).unwrap();
         seeks.insert(
             name,
             table
@@ -171,7 +171,8 @@ fn buffer_pool_measures_page_working_sets() {
 #[test]
 fn sharded_engine_matches_single_table_end_to_end() {
     // The full pipeline through the facade: skewed data, every curve, the
-    // sharded engine against the plain table, under mixed read traffic.
+    // sharded engine against a brute-force filter and the one-shard
+    // table, under mixed read traffic.
     let side = 64u32;
     let mut rng = StdRng::seed_from_u64(99);
     let records: Vec<(Point<2>, u64)> = zipf_points::<2, _>(side, 2500, 0.7, &mut rng)
@@ -182,10 +183,11 @@ fn sharded_engine_matches_single_table_end_to_end() {
         .collect();
     let queries = random_translations(side, [17u32, 11], 15, &mut rng).unwrap();
     for name in ["onion", "hilbert", "z-order"] {
-        let single = SfcTable::build(
+        let single = ShardedTable::build(
             curve_2d(name, side).unwrap(),
             records.clone(),
             DiskModel::hdd(),
+            1,
         )
         .unwrap();
         let sharded = ShardedTable::build(
@@ -201,6 +203,9 @@ fn sharded_engine_matches_single_table_end_to_end() {
         for q in &queries {
             let a = single.query_rect(q, &QueryOptions::default()).unwrap();
             let b = sharded.query_rect(q, &QueryOptions::default()).unwrap();
+            let mut got: Vec<u64> = a.records.iter().map(|r| r.value).collect();
+            got.sort_unstable();
+            assert_eq!(got, brute_force_hits(&records, q), "{name} {q:?}");
             assert_eq!(a.records, b.records, "{name} {q:?}");
             // Splitting at shard boundaries never loses or duplicates I/O
             // entries, and total seeks can only grow.
@@ -233,7 +238,7 @@ fn clustered_data_changes_volumes_not_correctness() {
         .collect();
     let q = RectQuery::new([10, 10], [30, 30]).unwrap();
     let curve = curve_2d("onion", side).unwrap();
-    let table = SfcTable::build(curve, records.clone(), DiskModel::hdd()).unwrap();
+    let table = ShardedTable::build(curve, records.clone(), DiskModel::hdd(), 1).unwrap();
     let res = table.query_rect(&q, &QueryOptions::default()).unwrap();
     let mut got: Vec<u64> = res.records.iter().map(|r| r.value).collect();
     got.sort_unstable();
