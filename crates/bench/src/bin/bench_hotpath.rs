@@ -14,7 +14,7 @@
 use onion_core::{CurveWalk, Onion2D, Onion3D, Point, SpaceFillingCurve};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sfc_baselines::Morton;
+use sfc_baselines::{curve_2d, Hilbert, Morton, CURVE_NAMES};
 use sfc_bench::baseline::ScalarOnly;
 use sfc_bench::{print_table, Row};
 use sfc_clustering::{
@@ -115,6 +115,50 @@ fn main() {
         });
     }
 
+    // Forward (`index_unchecked`) and inverse (`point_unchecked`) keying
+    // of 64k random cells through the dyn registry, for every curve at
+    // side 2^10 — the curve-versus-curve side of the paper's comparison.
+    // Timing-only: these are the curves' own kernels, with no scalar twin.
+    {
+        let side = 1u32 << 10;
+        let n = u64::from(side) * u64::from(side);
+        let mut probe = 0x9E3779B97F4A7C15u64;
+        let indices: Vec<u64> = (0..(1 << 16))
+            .map(|_| {
+                probe = probe.wrapping_mul(6364136223846793005).wrapping_add(1);
+                probe % n
+            })
+            .collect();
+        let points: Vec<Point<2>> = indices
+            .iter()
+            .map(|&i| Point::new([(i % u64::from(side)) as u32, (i / u64::from(side)) as u32]))
+            .collect();
+        // Entry names are `'static`; these few are built once per run.
+        let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
+        for name in CURVE_NAMES {
+            let curve = curve_2d(name, side).unwrap();
+            comparisons.push(Comparison {
+                name: leak(format!("curves/index_of/{name}/2d_side1024")),
+                baseline_ns: None,
+                optimized_ns: time_ns(reps, || {
+                    points
+                        .iter()
+                        .fold(0u64, |acc, &p| acc.wrapping_add(curve.index_unchecked(p)))
+                }),
+            });
+            comparisons.push(Comparison {
+                name: leak(format!("curves/point_of/{name}/2d_side1024")),
+                baseline_ns: None,
+                optimized_ns: time_ns(reps, || {
+                    indices.iter().fold(0u64, |acc, &i| {
+                        let p = curve.point_unchecked(i);
+                        acc.wrapping_add(u64::from(p.0[0] ^ p.0[1]))
+                    })
+                }),
+            });
+        }
+    }
+
     // Clustering scans at side 2^10: every predecessor/successor probe is a
     // perimeter step vs. a full unrank.
     {
@@ -156,9 +200,11 @@ fn main() {
         });
     }
 
-    // Exact average clustering (Lemma 1 edge walk) via the stepper.
+    // Exact average clustering (Lemma 1 edge walk) via the stepper, plus
+    // its Hilbert twin at the same side and shape (timing-only).
     {
         let onion = Onion2D::new(1 << 8).unwrap();
+        let hilbert = Hilbert::<2>::new(1 << 8).unwrap();
         let slow = ScalarOnly(onion);
         comparisons.push(Comparison {
             name: "exact_average/onion2d/side256/shape32",
@@ -167,6 +213,15 @@ fn main() {
             })),
             optimized_ns: time_ns(reps, || {
                 average_clustering_exact(&onion, [32, 32])
+                    .unwrap()
+                    .to_bits()
+            }),
+        });
+        comparisons.push(Comparison {
+            name: "exact_average/hilbert2d/side256/shape32",
+            baseline_ns: None,
+            optimized_ns: time_ns(reps, || {
+                average_clustering_exact(&hilbert, [32, 32])
                     .unwrap()
                     .to_bits()
             }),

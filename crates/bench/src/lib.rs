@@ -1,7 +1,8 @@
 //! # sfc-bench
 //!
 //! Experiment harness regenerating every table and figure of the Onion
-//! Curve paper, plus Criterion performance benches.
+//! Curve paper, plus the `bench_hotpath` microbenchmark harness and the
+//! `bench_gate` regression gate over its exports.
 //!
 //! Each `exp_*` binary prints the paper artifact's rows/series as an
 //! aligned text table and writes a CSV under `results/`. Run with `--paper`

@@ -1,6 +1,5 @@
-//! Reusable experiment kernels shared by the `exp_*` binaries and the
-//! Criterion benches: "given a curve and a query set, summarize the
-//! clustering distribution".
+//! Reusable experiment kernels shared by the `exp_*` binaries: "given a
+//! curve and a query set, summarize the clustering distribution".
 
 use onion_core::SpaceFillingCurve;
 use sfc_clustering::{clustering_number, RectQuery, Summary};

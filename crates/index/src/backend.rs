@@ -9,11 +9,11 @@
 //!   counts as a transfer. This is the fastest backend and the default for
 //!   `ShardedTable`.
 //! * [`PagedBackend`] — the B+-tree fronted by an [`LruBufferPool`], with a
-//!   [`DiskModel`] attached. Leaf pages play the role of
-//!   [`SimulatedDisk`](crate::SimulatedDisk) pages: a scan seeks once, then
-//!   each touched leaf is looked up in the pool, and only misses count as
-//!   page transfers — so cache effects show up directly in per-query
-//!   [`IoStats`](crate::IoStats) and simulated timings.
+//!   [`DiskModel`] attached. Leaf pages play the role of simulated disk
+//!   pages: a scan seeks once, then each touched leaf is looked up in the
+//!   pool, and only misses count as page transfers — so cache effects
+//!   show up directly in per-query [`IoStats`](crate::IoStats) and
+//!   simulated timings.
 //! * [`FileBackend`](crate::FileBackend) — genuinely disk-resident: an
 //!   immutable [`SegmentTree`](crate::SegmentTree) on a
 //!   [`PageStore`](crate::PageStore) file plus an in-memory write overlay.
@@ -107,30 +107,6 @@ pub trait Backend<V> {
     /// been delivered; callers must treat the whole scan as failed.
     fn scan(&self, lo: u64, hi: u64, visit: &mut dyn FnMut(u64, &V))
         -> Result<ScanStats, SfcError>;
-
-    /// Executes the range list of a [`QueryPlan`](crate::QueryPlan) (or any
-    /// sorted, disjoint range set) in order, summing page statistics — the
-    /// plan-aware scan entry point. Backends may override it to amortize
-    /// per-scan setup across a plan's ranges; the default simply chains
-    /// [`Self::scan`].
-    ///
-    /// # Errors
-    /// On storage failure, like [`Self::scan`].
-    fn scan_ranges(
-        &self,
-        ranges: &[(u64, u64)],
-        visit: &mut dyn FnMut(u64, &V),
-    ) -> Result<ScanStats, SfcError> {
-        let mut total = ScanStats::default();
-        for &(lo, hi) in ranges {
-            let s = self.scan(lo, hi, visit)?;
-            total.pages += s.pages;
-            total.cache_hits += s.cache_hits;
-            total.real_reads += s.real_reads;
-            total.real_seeks += s.real_seeks;
-        }
-        Ok(total)
-    }
 
     /// Streams every stored entry to `sink` in ascending key order
     /// (duplicates in insertion order) — the persistence hook snapshots
@@ -263,11 +239,11 @@ impl<V: Clone> Backend<V> for MemoryBackend<V> {
 /// [`LruBufferPool`], priced by a [`DiskModel`].
 ///
 /// Scans report only pool *misses* as transferred pages, so a workload that
-/// re-touches the same region (the regime
-/// [`SimulatedDisk`](crate::SimulatedDisk) cannot express) gets cheaper as
-/// the pool warms — and a curve that clusters queries into fewer, tighter
-/// ranges keeps a smaller page working set, which is exactly the cache
-/// effect the Onion Curve paper's clustering argument predicts.
+/// re-touches the same region (the regime a pool-less cost model cannot
+/// express) gets cheaper as the pool warms — and a curve that clusters
+/// queries into fewer, tighter ranges keeps a smaller page working set,
+/// which is exactly the cache effect the Onion Curve paper's clustering
+/// argument predicts.
 ///
 /// The pool sits behind a `Mutex` (locked once per page access), so the
 /// backend stays `Sync`; concurrent scans contend only on the pool
@@ -481,12 +457,16 @@ mod tests {
         let warm = b.scan(16, 31, &mut |_, _| {}).unwrap();
         assert_eq!(warm.pages, 0);
         assert_eq!(warm.cache_hits, 2, "re-scan hits exactly the read pages");
-        // The plan-aware multi-range scan sums identically: 2 pages for
-        // (16, 31) as above, 1 for (48, 63) (last leaf, nothing to peek).
-        let plan = b
-            .scan_ranges(&[(16, 31), (48, 63)], &mut |_, _| {})
-            .unwrap();
-        assert_eq!(plan.pages + plan.cache_hits, 3);
+        // A multi-range plan sums identically: 2 pages for (16, 31) as
+        // above, 1 for (48, 63) (last leaf, nothing to peek).
+        let plan: u64 = [(16, 31), (48, 63)]
+            .iter()
+            .map(|&(lo, hi)| {
+                let s = b.scan(lo, hi, &mut |_, _| {}).unwrap();
+                s.pages + s.cache_hits
+            })
+            .sum();
+        assert_eq!(plan, 3);
     }
 
     #[test]

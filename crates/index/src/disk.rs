@@ -82,140 +82,9 @@ impl IoStats {
     }
 }
 
-/// A simulated disk holding entries sorted by key, packed into fixed-size
-/// pages. Range scans touch `ceil(span / page_size)`-ish pages and cost one
-/// seek each.
-#[derive(Debug)]
-pub struct SimulatedDisk<V> {
-    /// Sorted (key, value) entries.
-    entries: Vec<(u64, V)>,
-    model: DiskModel,
-}
-
-impl<V> SimulatedDisk<V> {
-    /// Builds a disk image from entries sorted ascending by key.
-    ///
-    /// # Panics
-    /// If the input is not sorted.
-    pub fn new(entries: Vec<(u64, V)>, model: DiskModel) -> Self {
-        assert!(
-            entries.windows(2).all(|w| w[0].0 <= w[1].0),
-            "disk image requires sorted input"
-        );
-        SimulatedDisk { entries, model }
-    }
-
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the disk holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The disk model in force.
-    pub fn model(&self) -> &DiskModel {
-        &self.model
-    }
-
-    /// Scans one inclusive key range, returning the touched entries' slice
-    /// bounds and the I/O cost: 1 seek + the pages overlapped by the range.
-    pub fn scan_range(&self, lo: u64, hi: u64) -> (std::ops::Range<usize>, IoStats) {
-        let start = self.entries.partition_point(|e| e.0 < lo);
-        let end = self.entries.partition_point(|e| e.0 <= hi);
-        if start == end {
-            // Nothing stored in the range: still one seek to discover that
-            // (the index descent lands on a page).
-            return (
-                start..end,
-                IoStats {
-                    seeks: 1,
-                    pages: 1,
-                    ..IoStats::default()
-                },
-            );
-        }
-        let first_page = start / self.model.page_size;
-        let last_page = (end - 1) / self.model.page_size;
-        (
-            start..end,
-            IoStats {
-                seeks: 1,
-                pages: (last_page - first_page + 1) as u64,
-                entries: (end - start) as u64,
-                ..IoStats::default()
-            },
-        )
-    }
-
-    /// Runs a multi-range query (e.g. the cluster decomposition of a
-    /// rectangle) and returns combined stats.
-    pub fn scan_ranges(&self, ranges: &[(u64, u64)]) -> IoStats {
-        let mut total = IoStats::default();
-        for &(lo, hi) in ranges {
-            let (_, s) = self.scan_range(lo, hi);
-            total.absorb(s);
-        }
-        total
-    }
-
-    /// Access to an entry by position (test helper).
-    pub fn entry(&self, pos: usize) -> &(u64, V) {
-        &self.entries[pos]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn disk() -> SimulatedDisk<u32> {
-        let entries: Vec<(u64, u32)> = (0..1000u64).map(|k| (k * 2, k as u32)).collect();
-        SimulatedDisk::new(
-            entries,
-            DiskModel {
-                page_size: 100,
-                seek_us: 1000.0,
-                transfer_us: 10.0,
-            },
-        )
-    }
-
-    #[test]
-    fn single_range_costs_one_seek() {
-        let d = disk();
-        let (r, s) = d.scan_range(0, 198); // keys 0,2,..,198 → 100 entries
-        assert_eq!(r, 0..100);
-        assert_eq!(s.seeks, 1);
-        assert_eq!(s.pages, 1);
-        assert_eq!(s.entries, 100);
-    }
-
-    #[test]
-    fn range_spanning_pages_transfers_more() {
-        let d = disk();
-        let (_, s) = d.scan_range(0, 398); // 200 entries → 2 pages
-        assert_eq!(s.pages, 2);
-        assert_eq!(s.seeks, 1);
-    }
-
-    #[test]
-    fn multi_range_query_sums_seeks() {
-        let d = disk();
-        let stats = d.scan_ranges(&[(0, 18), (500, 518), (1500, 1518)]);
-        assert_eq!(stats.seeks, 3);
-        assert_eq!(stats.entries, 30);
-    }
-
-    #[test]
-    fn empty_range_still_costs_a_probe() {
-        let d = disk();
-        let (_, s) = d.scan_range(1, 1); // odd keys don't exist
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.seeks, 1);
-    }
 
     #[test]
     fn time_reflects_model() {
@@ -230,11 +99,5 @@ mod tests {
             transfer_us: 1.0,
         };
         assert_eq!(stats.time_us(&m), 205.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn rejects_unsorted_input() {
-        let _ = SimulatedDisk::new(vec![(5u64, ()), (1, ())], DiskModel::hdd());
     }
 }

@@ -8,9 +8,9 @@
 //! * **Storage backends** — the [`Backend`] trait over key-ordered storage,
 //!   with [`MemoryBackend`] (a from-scratch [`BPlusTree`]: bulk load,
 //!   inserts with splits, lazy removal, linked-leaf range scans, invariant
-//!   checker), [`PagedBackend`] (the tree's leaves treated as
-//!   [`SimulatedDisk`]-style pages behind an [`LruBufferPool`], so cache
-//!   effects show up in query stats), and [`FileBackend`] (genuinely
+//!   checker), [`PagedBackend`] (the tree's leaves treated as simulated
+//!   disk pages behind an [`LruBufferPool`], so cache effects show up in
+//!   query stats), and [`FileBackend`] (genuinely
 //!   disk-resident: an immutable bulk-built [`SegmentTree`] file on a
 //!   [`PageStore`] plus an in-memory write overlay, reporting *measured*
 //!   seek/read counters next to the simulated ones);
@@ -91,12 +91,12 @@ pub mod wal;
 pub use backend::{Backend, MemoryBackend, PagedBackend, ScanStats};
 pub use btree::{BPlusTree, EntryGuard, RangeIter, DEFAULT_NODE_CAPACITY};
 pub use cache::LruBufferPool;
-pub use disk::{DiskModel, IoStats, SimulatedDisk};
+pub use disk::{DiskModel, IoStats};
 pub use partition::{
     evaluate_partitioning, owner_of, partition_universe, try_owner_of, Partition, PartitionMetrics,
 };
 pub use plan::{record_density, PlanStrategy, Planner, QueryPlan};
-pub use segment::{SegmentScanStats, SegmentTree, SEGMENT_MAGIC};
+pub use segment::{SegmentTree, SEGMENT_MAGIC};
 pub use shard::{BatchOp, RetentionPolicy, ShardedTable, TableSnapshot, TableVersion};
 pub use store::{FileStore, PageStore, StoreStats};
 pub use stored::{FileBackend, StoreConfig, StoreFactory};

@@ -31,6 +31,7 @@
 //! page carries a crc32 so a torn or bit-flipped page is *detected* at
 //! read time rather than decoded into garbage.
 
+use crate::backend::ScanStats;
 use crate::cache::LruBufferPool;
 use crate::store::{FileStore, PageStore};
 use crate::wal::{crc32, storage_err, WalCodec, WalCursor};
@@ -46,23 +47,6 @@ const PAGE_HEADER: usize = 8;
 
 /// Byte overhead of one leaf entry before its value bytes: key + length.
 const ENTRY_HEADER: usize = 12;
-
-/// Statistics of one segment scan, in the same vocabulary as
-/// [`ScanStats`](crate::ScanStats) plus the measured read counter.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SegmentScanStats {
-    /// Leaf pages decoded from the medium (leaf-cache misses).
-    pub pages: u64,
-    /// Leaf pages served by the resident leaf cache.
-    pub cache_hits: u64,
-    /// Pages physically read from the [`PageStore`] (equals `pages` for
-    /// a segment scan; distinct so callers summing mixed backends keep
-    /// the real/simulated split).
-    pub real_reads: u64,
-    /// Non-contiguous physical page fetches within this scan (the first
-    /// fetch counts as one).
-    pub real_seeks: u64,
-}
 
 /// One decoded leaf held by the resident cache.
 type Leaf<V> = Arc<Vec<(u64, V)>>;
@@ -470,7 +454,8 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
     /// Scans keys in `lo..=hi` ascending, calling
     /// `visit(key, value, dup_idx)` for each entry, where `dup_idx`
     /// counts that key's copies from the oldest (0-based). Returns the
-    /// scan's page statistics.
+    /// scan's page statistics: `pages` counts leaf-cache misses, each of
+    /// which is also one physical read.
     ///
     /// # Errors
     /// On I/O failure or a corrupt page.
@@ -479,8 +464,8 @@ impl<V: WalCodec + Clone, S: PageStore> SegmentTree<V, S> {
         lo: u64,
         hi: u64,
         visit: &mut dyn FnMut(u64, &V, u32),
-    ) -> Result<SegmentScanStats, SfcError> {
-        let mut stats = SegmentScanStats::default();
+    ) -> Result<ScanStats, SfcError> {
+        let mut stats = ScanStats::default();
         if lo > hi || self.fences.is_empty() {
             return Ok(stats);
         }

@@ -1471,7 +1471,7 @@ fn scan_shard<const D: usize, V: Clone, B: Backend<Record<D, V>>>(
     records: &mut Vec<Record<D, V>>,
 ) -> Result<IoStats, SfcError> {
     let before = records.len();
-    let stats = backend.scan_ranges(ranges, &mut |_, rec| {
+    let mut visit = |_, rec: &Record<D, V>| {
         if filter {
             if q.contains(rec.point) {
                 records.push(rec.clone());
@@ -1480,15 +1480,20 @@ fn scan_shard<const D: usize, V: Clone, B: Backend<Record<D, V>>>(
             debug_assert!(q.contains(rec.point));
             records.push(rec.clone());
         }
-    })?;
-    Ok(IoStats {
+    };
+    let mut stats = IoStats {
         seeks: ranges.len() as u64,
-        pages: stats.pages,
-        entries: (records.len() - before) as u64,
-        cache_hits: stats.cache_hits,
-        real_reads: stats.real_reads,
-        real_seeks: stats.real_seeks,
-    })
+        ..IoStats::default()
+    };
+    for &(lo, hi) in ranges {
+        let s = backend.scan(lo, hi, &mut visit)?;
+        stats.pages += s.pages;
+        stats.cache_hits += s.cache_hits;
+        stats.real_reads += s.real_reads;
+        stats.real_seeks += s.real_seeks;
+    }
+    stats.entries = (records.len() - before) as u64;
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -2,9 +2,8 @@
 //! file-backed implementation, [`FileStore`].
 //!
 //! Everything below the `Backend` trait so far has *simulated* its I/O —
-//! [`SimulatedDisk`](crate::SimulatedDisk) and
-//! [`PagedBackend`](crate::PagedBackend) count pages and price them with a
-//! [`DiskModel`](crate::DiskModel), but no byte ever leaves RAM except
+//! [`PagedBackend`](crate::PagedBackend) counts pages and prices them with
+//! a [`DiskModel`](crate::DiskModel), but no byte ever leaves RAM except
 //! through the WAL and snapshot files. `PageStore` is the missing bottom
 //! layer: explicit read/write/sync of fixed-size pages against a real
 //! medium, with **measured** counters (`reads`, `writes`, `seeks`,

@@ -250,9 +250,7 @@ impl<V: WalCodec + Clone, S: PageStore> FileBackend<V, S> {
         }
         Ok(ScanStats {
             pages: seg.pages + it.pages(),
-            cache_hits: seg.cache_hits,
-            real_reads: seg.real_reads,
-            real_seeks: seg.real_seeks,
+            ..seg
         })
     }
 

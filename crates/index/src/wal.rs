@@ -793,7 +793,7 @@ impl Wal {
     /// # Panics
     /// As for [`Self::append_epoch`].
     pub fn append_payload(&mut self, epoch: u64, payload: &[u8]) -> Result<(), SfcError> {
-        self.append_payload_unsynced(epoch, payload)?;
+        self.append_payloads_unsynced(&[(epoch, payload)])?;
         if let Err(e) = self.file.sync_data() {
             // Roll the file back to the last committed frame; best-effort,
             // and replay would stop at the torn frame anyway.
@@ -810,105 +810,44 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends one epoch frame **without syncing it**: the frame is
-    /// written (one contiguous `write_all` from a reused buffer — no
-    /// allocation, no userspace buffering to lose on drop) but is not yet
-    /// durable. The caller owns the commit point: the epoch survives a
-    /// crash only once a subsequent [`File::sync_data`] on
+    /// Appends a group of epoch frames **without syncing them**, with one
+    /// contiguous `write_all` from a reused buffer — no allocation, no
+    /// userspace buffering to lose on drop, and one syscall (and one inode
+    /// touch) per fsync group instead of per epoch. The frames are written
+    /// but not yet durable: the caller owns the commit point, and an epoch
+    /// survives a crash only once a subsequent [`File::sync_data`] on
     /// [`Self::sync_handle`] (or a synced append) returns — which is how
-    /// the serving layer overlaps the encode and apply of epoch `N+1`
-    /// with the fsync of epoch `N` while keeping the synced-append commit
-    /// point for everything `flush` acknowledges.
+    /// the serving layer overlaps the encode and apply of epoch `N+1` with
+    /// the fsync of epoch `N` while keeping the synced-append commit point
+    /// for everything `flush` acknowledges.
     ///
-    /// Append order is frame order, so syncing the file at any instant
-    /// makes a *prefix* of appended epochs durable — pipelining never
-    /// reorders the log.
+    /// Frames land in slice order, and append order is frame order, so
+    /// syncing the file at any instant makes a *prefix* of appended epochs
+    /// durable — pipelining never reorders the log. On success the undo
+    /// record covers the group's *last* frame, so a subsequent
+    /// [`Self::rollback_last`] removes exactly the newest epoch, as if the
+    /// frames had been appended one at a time.
     ///
     /// # Errors
-    /// On I/O failure; the file is truncated back to its last valid
-    /// length so the failed frame never corrupts the log.
+    /// On I/O failure (the file is truncated back to its last valid
+    /// length, so the whole group rolls back and no failed frame corrupts
+    /// the log) or an over-limit frame.
     ///
     /// # Panics
-    /// If `epoch` is not strictly greater than every previously appended
-    /// epoch (the log would become ambiguous to replay).
-    pub fn append_payload_unsynced(&mut self, epoch: u64, payload: &[u8]) -> Result<(), SfcError> {
+    /// If epochs are not strictly increasing across the group and past
+    /// every previously appended epoch (the log would become ambiguous to
+    /// replay).
+    pub fn append_payloads_unsynced<P: AsRef<[u8]>>(
+        &mut self,
+        group: &[(u64, P)],
+    ) -> Result<(), SfcError> {
+        if group.is_empty() {
+            return Ok(());
+        }
         // A rollback that failed on its I/O leaves the frame on disk and
         // the epoch watermark advanced; completing it here (or erroring
         // again, cleanly) is what lets a retried flush re-commit the same
         // epoch number without tripping the monotonicity assert below.
-        if self.pending_rollback {
-            self.rollback_last()?;
-        }
-        assert!(
-            epoch > self.last_epoch,
-            "WAL epochs must be strictly increasing: {epoch} after {}",
-            self.last_epoch
-        );
-        if u32::try_from(payload.len()).is_err() {
-            // The frame length field is u32; silently wrapping it would
-            // fsync-acknowledge an epoch that replay can only see as a
-            // torn tail. Refuse instead: the caller can flush smaller
-            // epochs.
-            return Err(storage_err(
-                "committing epoch to WAL",
-                format_args!(
-                    "epoch {epoch} payload is {} bytes, over the 4 GiB frame limit",
-                    payload.len()
-                ),
-            ));
-        }
-        // First write after recovering past a damaged tail: cut the dead
-        // bytes off now, so the new frame lands on a clean edge instead
-        // of a prefix of garbage a crash mid-write could splice with.
-        if self.dirty_tail {
-            self.file
-                .set_len(self.valid_len)
-                .and_then(|_| self.file.sync_all())
-                .map_err(|e| storage_err("truncating torn WAL tail", e))?;
-            self.dirty_tail = false;
-        }
-        self.frame_buf.clear();
-        self.frame_buf.reserve(8 + payload.len());
-        (payload.len() as u32).encode(&mut self.frame_buf);
-        crc32(payload).encode(&mut self.frame_buf);
-        self.frame_buf.extend_from_slice(payload);
-        if let Err(e) = self.file.write_all(&self.frame_buf) {
-            // Roll the file back to the last committed frame; best-effort,
-            // and replay would stop at the torn frame anyway.
-            let _ = self.file.set_len(self.valid_len);
-            let _ = self.file.seek(SeekFrom::Start(self.valid_len));
-            return Err(storage_err(
-                "committing epoch to WAL",
-                format_args!("{}: {e}", self.path.display()),
-            ));
-        }
-        self.undo = Some((self.valid_len, self.last_epoch));
-        self.valid_len += self.frame_buf.len() as u64;
-        self.last_epoch = epoch;
-        Ok(())
-    }
-
-    /// Appends a whole group of epoch frames with **one** buffered write
-    /// — the batched form of [`Self::append_payload_unsynced`] a sync
-    /// pipeline drains its queue with, paying one syscall (and one inode
-    /// touch) per fsync group instead of per epoch. Frames land in slice
-    /// order; epochs must be strictly increasing across the group and
-    /// past every previously appended epoch.
-    ///
-    /// On success the undo record covers the group's *last* frame, so a
-    /// subsequent [`Self::rollback_last`] removes exactly the newest
-    /// epoch — the same contract as appending one frame at a time.
-    ///
-    /// # Errors
-    /// On I/O failure (the file is truncated back to its last valid
-    /// length — the whole group rolls back) or an over-limit frame.
-    ///
-    /// # Panics
-    /// If any epoch breaks strict monotonicity.
-    pub fn append_payloads_unsynced(&mut self, group: &[(u64, Vec<u8>)]) -> Result<(), SfcError> {
-        if group.is_empty() {
-            return Ok(());
-        }
         if self.pending_rollback {
             self.rollback_last()?;
         }
@@ -919,16 +858,23 @@ impl Wal {
                 "WAL epochs must be strictly increasing: {epoch} after {last}"
             );
             last = *epoch;
-            if u32::try_from(payload.len()).is_err() {
+            if u32::try_from(payload.as_ref().len()).is_err() {
+                // The frame length field is u32; silently wrapping it
+                // would fsync-acknowledge an epoch that replay can only
+                // see as a torn tail. Refuse instead: the caller can
+                // flush smaller epochs.
                 return Err(storage_err(
                     "committing epoch to WAL",
                     format_args!(
                         "epoch {epoch} payload is {} bytes, over the 4 GiB frame limit",
-                        payload.len()
+                        payload.as_ref().len()
                     ),
                 ));
             }
         }
+        // First write after recovering past a damaged tail: cut the dead
+        // bytes off now, so the new frames land on a clean edge instead
+        // of a prefix of garbage a crash mid-write could splice with.
         if self.dirty_tail {
             self.file
                 .set_len(self.valid_len)
@@ -940,6 +886,7 @@ impl Wal {
         let mut last_frame_at = 0usize;
         let mut prev_epoch = self.last_epoch;
         for (i, (epoch, payload)) in group.iter().enumerate() {
+            let payload = payload.as_ref();
             if i + 1 == group.len() {
                 last_frame_at = self.frame_buf.len();
             } else {
@@ -950,10 +897,12 @@ impl Wal {
             self.frame_buf.extend_from_slice(payload);
         }
         if let Err(e) = self.file.write_all(&self.frame_buf) {
+            // Roll the file back to the last committed frame; best-effort,
+            // and replay would stop at the torn frame anyway.
             let _ = self.file.set_len(self.valid_len);
             let _ = self.file.seek(SeekFrom::Start(self.valid_len));
             return Err(storage_err(
-                "committing epoch group to WAL",
+                "committing epoch to WAL",
                 format_args!("{}: {e}", self.path.display()),
             ));
         }
@@ -1093,7 +1042,7 @@ impl Wal {
     /// After a synced append ([`Self::append_epoch`]) returns, everything
     /// up to this offset survives any crash — the number the crash-point
     /// tests key on. Frames appended with
-    /// [`Self::append_payload_unsynced`] are counted as soon as they are
+    /// [`Self::append_payloads_unsynced`] are counted as soon as they are
     /// written; they survive once the pipeline's next sync returns.
     pub fn len(&self) -> u64 {
         self.valid_len

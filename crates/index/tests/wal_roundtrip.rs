@@ -4,6 +4,7 @@
 
 use onion_core::{Onion2D, Point};
 use sfc_clustering::RectQuery;
+use sfc_index::wal::encode_epoch_payload;
 use sfc_index::{
     read_snapshot, write_snapshot, BatchOp, DiskModel, QueryOptions, Record, ShardedTable, Wal,
     WAL_MAGIC,
@@ -202,6 +203,38 @@ fn rollback_last_uncommits_exactly_one_frame() {
     let (_, frames) = Wal::open::<2, u64>(&path).unwrap();
     assert_eq!(frames.len(), 2);
     assert_eq!(frames[1].ops, sample_ops(1));
+
+    // A group append plus one sync writes the same bytes as one synced
+    // append per frame, and its undo record covers only the newest frame.
+    let group: Vec<(u64, Vec<u8>)> = (1..=3u64)
+        .map(|e| (e, encode_epoch_payload(e, &sample_ops(e + 2))))
+        .collect();
+    let single_path = dir.join("single.log");
+    let (mut single, _) = Wal::open::<2, u64>(&single_path).unwrap();
+    let mut lens = Vec::new();
+    for (epoch, payload) in &group {
+        single.append_payload(*epoch, payload).unwrap();
+        lens.push(single.len());
+    }
+    drop(single);
+    let single_bytes = std::fs::read(&single_path).unwrap();
+    let group_path = dir.join("group.log");
+    let (mut wal, _) = Wal::open::<2, u64>(&group_path).unwrap();
+    wal.append_payloads_unsynced(&group).unwrap();
+    wal.sync_handle().unwrap().sync_data().unwrap();
+    assert_eq!(std::fs::read(&group_path).unwrap(), single_bytes);
+    wal.rollback_last().unwrap();
+    assert_eq!(wal.len(), lens[1]);
+    assert_eq!(wal.last_epoch(), 2);
+    assert!(wal.rollback_last().is_err());
+    drop(wal);
+    assert_eq!(
+        std::fs::read(&group_path).unwrap(),
+        &single_bytes[..lens[1] as usize]
+    );
+    let (_, frames) = Wal::open::<2, u64>(&group_path).unwrap();
+    assert_eq!(frames.len(), 2);
+    assert_eq!(frames[1].ops, sample_ops(4));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
